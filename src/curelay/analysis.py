@@ -1,9 +1,11 @@
 """Outage probability (Monte-Carlo and analytic bounds), the SU-side
 upper-bound distribution in closed form, and achievable-rate curves.
 
-Monte-Carlo runs are partitioned into fixed-size blocks with per-block
-generators seeded by (seed, block_index); partial sums are reduced in block
-order, so results are bit-identical for any worker count.
+Monte-Carlo runs split each grid point into fixed-size blocks; block i of
+point k draws from a generator seeded by (seed, k * 1,000,000 + i). Each
+`outage_mc` (one point) or `rate_curve` call runs all its blocks through one
+process pool and reduces the partial sums in block order, so results are
+bit-identical for any worker count.
 
 Outage semantics: at the base station the statistic is conditioned on the
 secondary actually transmitting (P_su1 > 0), matching the truncated law the
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .channels import (
 )
 from .mathkernel import gauss_2f1, gauss_2f1_near_unit
 from .power import fixed_power, optimal_power
-from .relaying import sir_sample
+from .relaying import bs_sir, sir_sample
 
 __all__ = [
     "OutageEstimate",
@@ -84,35 +86,36 @@ class RateEstimate:
     trials: int
 
 
-def _blocks(trials, block_size):
+def _run_block(task):
+    block_fn, cfg, args, seed, stream, n = task
+    draw = sample_fading(np.random.default_rng([seed, stream]), cfg, n)
+    return block_fn(draw, cfg, *args)
+
+
+def _sweep(block_fn, args, configs, trials, seed, workers, block_size):
+    """Per PowerConfig in `configs`, the column sums of block_fn(draw, cfg,
+    *args) over `trials` draws, in the block layout of the module docstring."""
     n_full, rem = divmod(trials, block_size)
-    sizes = [block_size] * n_full
-    if rem:
-        sizes.append(rem)
-    return sizes
-
-
-def _outage_block(task):
-    geom, cfg, lam, gamma_th, side, seed, idx, n = task
-    rng = np.random.default_rng([seed, idx])
-    draw = sample_fading(rng, cfg, n)
-    s = sir_sample(draw, geom, cfg, lam)
-    if side == "bs":
-        counted = s.valid & (s.p_su1 > 0)
-        gamma = s.gamma_bs1
+    sizes = [block_size] * n_full + ([rem] if rem else [])
+    tasks = [(block_fn, cfg, args, seed, k * 1_000_000 + i, n)
+             for k, cfg in enumerate(configs) for i, n in enumerate(sizes)]
+    if workers <= 1:
+        parts = [_run_block(t) for t in tasks]
     else:
-        counted = s.valid
-        gamma = s.gamma_su1
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_block, tasks))
+    nb = len(sizes)
+    return [[sum(col) for col in zip(*parts[k * nb:(k + 1) * nb])]
+            for k in range(len(configs))]
+
+
+def _outage_block(draw, cfg, geom, lam, gamma_th, side):
+    s = sir_sample(draw, geom, cfg, lam)
+    counted = s.valid & (s.p_su1 > 0) if side == "bs" else s.valid
+    gamma = s.gamma_bs1 if side == "bs" else s.gamma_su1
     n_counted = int(np.count_nonzero(counted))
     n_out = int(np.count_nonzero(gamma[counted] < gamma_th))
-    return n_out, n_counted, n - n_counted
-
-
-def _map_blocks(fn, tasks, workers):
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    return n_out, n_counted
 
 
 def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: float,
@@ -131,12 +134,8 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
         raise ValueError(f"side must be 'bs' or 'su', got {side!r}")
     if trials < 10_000:
         raise ValueError("trials must be >= 1e4")
-    tasks = [(geom, cfg, lam, gamma_th, side, seed, i, n)
-             for i, n in enumerate(_blocks(trials, block_size))]
-    parts = _map_blocks(_outage_block, tasks, workers)
-    n_out = sum(p[0] for p in parts)
-    n_counted = sum(p[1] for p in parts)
-    n_excluded = sum(p[2] for p in parts)
+    [(n_out, n_counted)] = _sweep(
+        _outage_block, (geom, lam, gamma_th, side), [cfg], trials, seed, workers, block_size)
     p_out = n_out / n_counted if n_counted else math.nan
     ci = 1.96 * math.sqrt(p_out * (1.0 - p_out) / n_counted) if n_counted else math.nan
     if side == "bs":
@@ -145,7 +144,7 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
         lower, upper = su_outage_closed_form(gamma_th, geom, cfg), None
     return OutageEstimate(p_out=p_out, ci_halfwidth=ci, trials=n_counted,
                           gamma_th=gamma_th, side=side, lower_bound=lower,
-                          upper_bound=upper, excluded_draws=n_excluded)
+                          upper_bound=upper, excluded_draws=trials - n_counted)
 
 
 def _gamma2_cdf(x, geom, lam, p_cci):
@@ -232,28 +231,17 @@ def su_outage_closed_form(gamma_th: float, geom: ScenarioGeometry, cfg: PowerCon
     return float(cdf)
 
 
-def _rate_block(task):
-    geom, cfg, lam, policy, seed, idx, n = task
-    rng = np.random.default_rng([seed, idx])
-    draw = sample_fading(rng, cfg, n)
-    e = geom.epsilon
-    p = cfg.p_cci_lin
-    cci = p * (geom.q ** -e * draw.u2 + geom.r ** -e * draw.v2)
+def _rate_block(draw, cfg, geom, lam, policy):
     if policy == "optimal":
         p_su1 = optimal_power(draw, geom, cfg, lam)
     else:
         p_su1 = fixed_power(cfg, geom)
-    et = derive_etas(geom)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma2 = p_su1 * geom.l ** -e * draw.g2 / cci
-        gamma1 = et.eta1 * draw.h2 / draw.u2
-        gbs = gamma1 * gamma2 / (gamma1 + gamma2)
-    gbs = np.where((gamma2 == 0) & (gamma1 > 0), 0.0, gbs)
+    _, gamma2, gbs = bs_sir(draw, geom, cfg, p_su1)
     valid = np.isfinite(gamma2) & np.isfinite(gbs)
     obj = np.log1p(gamma2[valid]) / _LN2
     e2e = 0.5 * np.log1p(gbs[valid]) / _LN2
     return (float(obj.sum()), float(np.square(obj).sum()), float(e2e.sum()),
-            int(valid.sum()), int(n - valid.sum()))
+            int(valid.sum()))
 
 
 def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policy: str,
@@ -270,17 +258,10 @@ def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policy: str
         raise ValueError("trials must be >= 1e5 per grid point")
     if policy == "optimal" and (lam is None or lam < 0):
         raise ValueError("optimal policy requires a solved water level")
+    configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
+    sums = _sweep(_rate_block, (geom, lam, policy), configs, trials, seed, workers, block_size)
     out = []
-    for gi, sir_db in enumerate(sir_grid_db):
-        cfg_point = PowerConfig(p_cci_db=cfg.p_cci_db, w_db=cfg.w_db,
-                                gamma_bar_db=float(sir_db), sigma2=cfg.sigma2)
-        tasks = [(geom, cfg_point, lam, policy, seed, gi * 1_000_000 + i, n)
-                 for i, n in enumerate(_blocks(trials, block_size))]
-        parts = _map_blocks(_rate_block, tasks, workers)
-        s = sum(p[0] for p in parts)
-        ss = sum(p[1] for p in parts)
-        se = sum(p[2] for p in parts)
-        n_valid = sum(p[3] for p in parts)
+    for sir_db, (s, ss, se, n_valid) in zip(sir_grid_db, sums):
         mean_obj = s / n_valid
         var = max(ss / n_valid - mean_obj * mean_obj, 0.0)
         out.append(RateEstimate(

@@ -344,7 +344,11 @@ def _validation_rows(cfg: ExperimentConfig):
 
 def run_experiment(cmd: str, cfg: ExperimentConfig, out_path: str) -> int:
     """Run one subcommand and write its CSV. Returns the count of FAILed
-    validation checks (0 for the other subcommands)."""
+    validation checks (0 for the other subcommands).
+
+    The CSV is written to a temporary file next to `out_path` and moved over
+    it only when complete, so a failed run leaves `out_path` as it was.
+    """
     if cmd not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {cmd!r}")
     header = [f"# seed = {cfg.seed}", f"# trials = {cfg.trials}"]
@@ -370,8 +374,15 @@ def run_experiment(cmd: str, cfg: ExperimentConfig, out_path: str) -> int:
             rows = [(cfg.power.w_db, cfg.power.p_cci_db, level.lam, level.residual,
                      report.as_printed_value, report.consistent_value, cfg.power.w_lin)]
     lines = header + [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{os.fspath(out_path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, out_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return failures
 
 
@@ -417,13 +428,9 @@ def main(argv=None) -> int:
     try:
         failures = run_experiment(args.cmd, cfg, args.out)
     except (BracketError, IntegrationError) as exc:
-        if os.path.exists(args.out):
-            os.unlink(args.out)
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # noqa: BLE001 - partial output must not survive
-        if os.path.exists(args.out):
-            os.unlink(args.out)
+    except Exception as exc:  # noqa: BLE001 - report any failure as exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if failures:

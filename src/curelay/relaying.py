@@ -23,6 +23,7 @@ __all__ = [
     "SirSample",
     "relay_gain",
     "relay_gain_noisy",
+    "bs_sir",
     "sir_sample",
     "sinr_bs",
     "symbol_level_oracle",
@@ -46,16 +47,20 @@ class SirSample:
     gamma_su1: np.ndarray
     gamma_su1_upper: np.ndarray
     p_su1: np.ndarray
-    beta: np.ndarray
     valid: np.ndarray
+
+
+def _relay_power(draw, geom, p_cci, p_su1):
+    """Power received at the relay: P s^-eps h2 + P_su1 l^-eps g2 + P r^-eps v2."""
+    e = geom.epsilon
+    return (p_cci * geom.s ** -e * np.asarray(draw.h2, dtype=float)
+            + np.asarray(p_su1, dtype=float) * geom.l ** -e * np.asarray(draw.g2, dtype=float)
+            + p_cci * geom.r ** -e * np.asarray(draw.v2, dtype=float))
 
 
 def relay_gain(draw: FadingRealization, geom: ScenarioGeometry, p_cci: float, p_su1):
     """Amplification gain beta = (P s^-eps h2 + P_su1 l^-eps g2 + P r^-eps v2)^(-1/2)."""
-    e = geom.epsilon
-    total = (p_cci * geom.s ** -e * np.asarray(draw.h2, dtype=float)
-             + np.asarray(p_su1, dtype=float) * geom.l ** -e * np.asarray(draw.g2, dtype=float)
-             + p_cci * geom.r ** -e * np.asarray(draw.v2, dtype=float))
+    total = _relay_power(draw, geom, p_cci, p_su1)
     if total.ndim == 0:
         if total == 0.0:
             raise ValueError("relay_gain: all received-power terms are zero (degenerate draw)")
@@ -69,11 +74,7 @@ def relay_gain_noisy(draw: FadingRealization, geom: ScenarioGeometry, p_cci: flo
     """Noise-aware variant: beta' = (... + sigma2)^(-1/2); beta' <= beta."""
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    e = geom.epsilon
-    total = (p_cci * geom.s ** -e * np.asarray(draw.h2, dtype=float)
-             + np.asarray(p_su1, dtype=float) * geom.l ** -e * np.asarray(draw.g2, dtype=float)
-             + p_cci * geom.r ** -e * np.asarray(draw.v2, dtype=float)
-             + sigma2)
+    total = _relay_power(draw, geom, p_cci, p_su1) + sigma2
     with np.errstate(divide="ignore"):
         out = total ** -0.5
     return float(out) if out.ndim == 0 else out
@@ -90,6 +91,21 @@ def _harmonic(num_a, num_b, den_b):
     out = np.where(a_inf & ~b_inf & ~c_inf, num_b, out)
     out = np.where(b_inf & c_inf & a_inf, np.inf, out)
     return out
+
+
+def bs_sir(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1):
+    """(gamma1, gamma2, gamma_bs1) for a batch of draws at SU power p_su1
+    (array or scalar); gamma_bs1 = gamma1 gamma2/(gamma1 + gamma2), taken to
+    its limit where a component is infinite or gamma2 == 0."""
+    e = geom.epsilon
+    cci = cfg.p_cci_lin * (geom.q ** -e * draw.u2 + geom.r ** -e * draw.v2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gamma1 = derive_etas(geom).eta1 * draw.h2 / draw.u2
+        gamma2 = p_su1 * (geom.l ** -e) * draw.g2 / cci
+    gamma_bs1 = _harmonic(gamma1, gamma2, gamma2)
+    # p_su1 == 0 gives gamma2 == 0 -> 0 * g1/(g1) = 0; 0/0 only if gamma1 == 0 too
+    gamma_bs1 = np.where((gamma2 == 0) & (gamma1 > 0), 0.0, gamma_bs1)
+    return gamma1, gamma2, gamma_bs1
 
 
 def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
@@ -112,18 +128,16 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
     batch = FadingRealization(h2, g2, f2, u2, v2, w2)
 
     p_su1 = optimal_power(batch, geom, cfg, lam)
-    cci = p * (geom.q ** -e * u2 + geom.r ** -e * v2)
+    gamma1, gamma2, gamma_bs1 = bs_sir(batch, geom, cfg, p_su1)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma1 = et.eta1 * h2 / u2
-        gamma2 = p_su1 * (geom.l ** -e) * g2 / cci
         gamma3 = et.eta2 * g2 / w2
         gamma4 = et.eta3 * h2 / v2
         # gamma5 = (P s^-eps h2 + P_su1 l^-eps g2)/(P r^-eps v2), grouped so
         # that gamma5 == gamma4 bitwise whenever p_su1 == 0
         gamma5 = gamma4 + p_su1 * (geom.l ** -e) * g2 / (p * geom.r ** -e * v2)
         # reformulated route: gamma2 = max(0, c2/T - 1)
-        t = cci / p * (f2 / g2)
+        t = (geom.q ** -e * u2 + geom.r ** -e * v2) * (f2 / g2)
         gamma2_alt = np.maximum(lam / (et.eta4 * p) / t - 1.0, 0.0)
 
     # mixed abs/rel: near the clipping boundary gamma2 -> 0+ cancellation
@@ -136,16 +150,12 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
             raise RuntimeError(
                 f"gamma2 dual-route disagreement: max deviation {gap.max():.3e}")
 
-    gamma_bs1 = _harmonic(gamma1, gamma2, gamma2)
-    # p_su1 == 0 gives gamma2 == 0 -> 0 * g1/(g1) = 0; 0/0 only if gamma1 == 0 too
-    gamma_bs1 = np.where((gamma2 == 0) & (gamma1 > 0), 0.0, gamma_bs1)
     gamma_su1 = _harmonic(gamma3, gamma4, gamma5)
     gamma_su1_upper = _harmonic(gamma3, gamma4, gamma4)
 
-    beta = relay_gain(batch, geom, p, p_su1)
     valid = ~(np.isnan(gamma_bs1) | np.isnan(gamma_su1) | np.isnan(gamma_su1_upper))
     return SirSample(gamma1, gamma2, gamma3, gamma4, gamma5,
-                     gamma_bs1, gamma_su1, gamma_su1_upper, p_su1, beta, valid)
+                     gamma_bs1, gamma_su1, gamma_su1_upper, p_su1, valid)
 
 
 def sinr_bs(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,

@@ -1,7 +1,9 @@
 """Config parsing, relay selection, CSV determinism, and CLI exit codes."""
 
+import hashlib
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from curelay import (
     run_experiment,
     select_relay,
 )
+import curelay.analysis
 from curelay.expcli import ConfigError, _parse_grid
 
 REPO = Path(__file__).resolve().parent.parent
@@ -203,11 +206,44 @@ def test_csv_byte_identical_across_runs_and_workers(tmp_path):
     cfg = load_config(write_cfg(tmp_path, FAST_BODY))
     outs = []
     for name, workers in (("a", 1), ("b", 1), ("c", 2)):
-        from dataclasses import replace
         out = tmp_path / f"{name}.csv"
         run_experiment("outage-bs", replace(cfg, workers=workers), out)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+# SHA-256 of the FAST_BODY CSVs (rate at trials = 100000). Any change to the
+# fading streams, the SIR algebra or the reduction order shows up here.
+FAST_DIGESTS = {
+    "outage-bs": "2a656c029d252cf7f101edb37d6fa92e1c9b5ff4bfa824df94a7a3c79a5a4b62",
+    "outage-su": "825021a6284abcfe91f812d3e07b9c664b413631a405cd2f711e172593f1b12e",
+    "rate": "c3a2d573f47f8ecd83c21bd8db5791c7577eb2329af9de20c639d20ef90e8415",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(FAST_DIGESTS))
+def test_csv_digest_frozen(tmp_path, cmd):
+    body = FAST_BODY.replace("trials = 20000", "trials = 100000") if cmd == "rate" else FAST_BODY
+    cfg = load_config(write_cfg(tmp_path, body))
+    for workers in (1, 2):
+        out = tmp_path / f"{workers}.csv"
+        run_experiment(cmd, replace(cfg, workers=workers), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FAST_DIGESTS[cmd], workers
+
+
+def test_rate_starts_one_pool_per_policy(tmp_path, monkeypatch):
+    started = []
+
+    class CountingPool(curelay.analysis.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(curelay.analysis, "ProcessPoolExecutor", CountingPool)
+    body = FAST_BODY.replace("trials = 20000", "trials = 100000")
+    cfg = load_config(write_cfg(tmp_path, body))
+    run_experiment("rate", replace(cfg, workers=2), tmp_path / "r.csv")
+    assert len(started) == 2
 
 
 def test_water_level_csv(tmp_path):
@@ -253,3 +289,13 @@ def test_cli_overrides_and_run(tmp_path):
     assert any(m == "# seed = 5" for m in meta)
     assert [row[0] for row in rows] == ["10", "20"]
     assert rows[0][1] == "8" and rows[0][2] == "18"
+
+
+def test_failed_run_keeps_existing_output(tmp_path):
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"written by someone else\n")
+    r = run_cli("water-level", "--config", str(DEFAULT_CFG), "--out", str(out),
+                "--w-db", "60", "--cci-db", "-15")
+    assert r.returncode == 3, r.stderr
+    assert out.read_bytes() == b"written by someone else\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
