@@ -1,9 +1,13 @@
 """Outage probability (Monte-Carlo and analytic bounds), the SU-side
 upper-bound distribution in closed form, and achievable-rate curves.
 
-Monte-Carlo runs split each grid point into fixed-size blocks; block i of
-point k draws from a generator seeded by (seed, k * 1,000,000 + i). Each
-`outage_mc` (one point) or `rate_curve` call runs all its blocks through one
+Monte-Carlo runs split the trials into fixed-size blocks. Grid points are
+gathered in groups that share one fading draw per block: block i of group k
+draws unit-mean gains from a generator seeded by (seed, k * 1,000,000 + i),
+and each point of the group scales h2, g2, f2 by its own gamma_bar
+(bitwise what sampling at that mean gives). An `outage_mc` sweep is one
+group, so every point reuses the draws of blocks (seed, i); a `rate_curve`
+point is a group of its own. Each call runs all its blocks through one
 process pool and reduces the partial sums in block order, so results are
 bit-identical for any worker count.
 
@@ -34,7 +38,7 @@ from .channels import (
 )
 from .mathkernel import gauss_2f1, gauss_2f1_near_unit
 from .power import fixed_power, optimal_power
-from .relaying import bs_sir, sir_sample
+from .relaying import bs_sir, check_gamma2_routes, sir_sample
 
 __all__ = [
     "OutageEstimate",
@@ -86,47 +90,67 @@ class RateEstimate:
     trials: int
 
 
+_UNIT_MEAN = PowerConfig(p_cci_db=0.0, w_db=0.0, gamma_bar_db=0.0)
+
+
 def _run_block(task):
-    block_fn, cfg, args, seed, stream, n = task
-    draw = sample_fading(np.random.default_rng([seed, stream]), cfg, n)
-    return block_fn(draw, cfg, *args)
+    block_fn, group, args, seed, stream, n = task
+    draw = sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n)
+    unit = (draw.h2, draw.g2, draw.f2)
+    parts = []
+    for j, cfg in enumerate(group):
+        # the last point scales the unit draw in place, so a group of one copies nothing
+        last = j == len(group) - 1
+        h2, g2, f2 = (np.multiply(a, cfg.gamma_bar_lin, out=a if last else None) for a in unit)
+        parts.append(block_fn(replace(draw, h2=h2, g2=g2, f2=f2), cfg, *args))
+    return parts
 
 
-def _sweep(block_fn, args, configs, trials, seed, workers, block_size):
-    """Per PowerConfig in `configs`, the column sums of block_fn(draw, cfg,
-    *args) over `trials` draws, in the block layout of the module docstring."""
+def _sweep(block_fn, args, groups, trials, seed, workers, block_size):
+    """Per PowerConfig of every group in `groups`, in order, the column sums
+    of block_fn(draw, cfg, *args) over `trials` draws, in the block layout of
+    the module docstring."""
     n_full, rem = divmod(trials, block_size)
     sizes = [block_size] * n_full + ([rem] if rem else [])
-    tasks = [(block_fn, cfg, args, seed, k * 1_000_000 + i, n)
-             for k, cfg in enumerate(configs) for i, n in enumerate(sizes)]
+    tasks = [(block_fn, group, args, seed, k * 1_000_000 + i, n)
+             for k, group in enumerate(groups) for i, n in enumerate(sizes)]
     if workers <= 1:
         parts = [_run_block(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_block, tasks))
     nb = len(sizes)
-    return [[sum(col) for col in zip(*parts[k * nb:(k + 1) * nb])]
-            for k in range(len(configs))]
+    return [[sum(col) for col in zip(*point)]
+            for k in range(len(groups)) for point in zip(*parts[k * nb:(k + 1) * nb])]
 
 
 def _outage_block(draw, cfg, geom, lam, gamma_th, side):
-    s = sir_sample(draw, geom, cfg, lam)
-    counted = s.valid & (s.p_su1 > 0) if side == "bs" else s.valid
-    gamma = s.gamma_bs1 if side == "bs" else s.gamma_su1
+    if side == "bs":
+        p_su1 = optimal_power(draw, geom, cfg, lam)
+        _, gamma2, gamma = bs_sir(draw, geom, cfg, p_su1)
+        check_gamma2_routes(draw, geom, cfg, lam, gamma2)
+        counted = (p_su1 > 0) & ~np.isnan(gamma)
+    else:
+        s = sir_sample(draw, geom, cfg, lam)
+        counted, gamma = s.valid, s.gamma_su1
     n_counted = int(np.count_nonzero(counted))
     n_out = int(np.count_nonzero(gamma[counted] < gamma_th))
     return n_out, n_counted
 
 
 def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: float,
-              side: str, trials: int, seed: int, workers: int = 1,
-              block_size: int = BLOCK_SIZE) -> OutageEstimate:
-    """Monte-Carlo outage probability P(gamma_side < gamma_th).
+              side: str, sir_grid_db, trials: int, seed: int, workers: int = 1,
+              block_size: int = BLOCK_SIZE) -> list[OutageEstimate]:
+    """Monte-Carlo outage probability P(gamma_side < gamma_th) at each
+    average SIR of `sir_grid_db` (cfg with gamma_bar_db replaced).
 
     Requires a pre-solved water level; deterministic for a given seed
-    regardless of `workers`. Analytic bounds are attached: the order-
-    statistics pair at the BS, the closed-form upper-bound-SIR curve at the
-    SU (a lower bound on outage there).
+    regardless of `workers`. Every point reuses the same fading draws, blocks
+    seeded (seed, i), so a point's estimate does not depend on the rest of
+    the grid. The BS side counts draws with P_su1 > 0 and a defined gamma_bs1
+    and computes only the BS-side SIRs. Analytic bounds are attached: the
+    order-statistics pair at the BS, the closed-form upper-bound-SIR curve at
+    the SU (a lower bound on outage there).
     """
     if lam is None or lam < 0:
         raise ValueError("outage_mc requires a solved, nonnegative water level")
@@ -134,17 +158,21 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
         raise ValueError(f"side must be 'bs' or 'su', got {side!r}")
     if trials < 10_000:
         raise ValueError("trials must be >= 1e4")
-    [(n_out, n_counted)] = _sweep(
-        _outage_block, (geom, lam, gamma_th, side), [cfg], trials, seed, workers, block_size)
-    p_out = n_out / n_counted if n_counted else math.nan
-    ci = 1.96 * math.sqrt(p_out * (1.0 - p_out) / n_counted) if n_counted else math.nan
-    if side == "bs":
-        lower, upper = outage_bs_bounds(gamma_th, geom, cfg, lam)
-    else:
-        lower, upper = su_outage_closed_form(gamma_th, geom, cfg), None
-    return OutageEstimate(p_out=p_out, ci_halfwidth=ci, trials=n_counted,
-                          gamma_th=gamma_th, side=side, lower_bound=lower,
-                          upper_bound=upper, excluded_draws=trials - n_counted)
+    configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
+    sums = _sweep(_outage_block, (geom, lam, gamma_th, side), [configs], trials, seed,
+                  workers, block_size)
+    out = []
+    for point, (n_out, n_counted) in zip(configs, sums):
+        p_out = n_out / n_counted if n_counted else math.nan
+        ci = 1.96 * math.sqrt(p_out * (1.0 - p_out) / n_counted) if n_counted else math.nan
+        if side == "bs":
+            lower, upper = outage_bs_bounds(gamma_th, geom, point, lam)
+        else:
+            lower, upper = su_outage_closed_form(gamma_th, geom, point), None
+        out.append(OutageEstimate(p_out=p_out, ci_halfwidth=ci, trials=n_counted,
+                                  gamma_th=gamma_th, side=side, lower_bound=lower,
+                                  upper_bound=upper, excluded_draws=trials - n_counted))
+    return out
 
 
 def _gamma2_cdf(x, geom, lam, p_cci):
@@ -259,7 +287,8 @@ def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policy: str
     if policy == "optimal" and (lam is None or lam < 0):
         raise ValueError("optimal policy requires a solved water level")
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
-    sums = _sweep(_rate_block, (geom, lam, policy), configs, trials, seed, workers, block_size)
+    sums = _sweep(_rate_block, (geom, lam, policy), [[c] for c in configs], trials, seed,
+                  workers, block_size)
     out = []
     for sir_db, (s, ss, se, n_valid) in zip(sir_grid_db, sums):
         mean_obj = s / n_valid

@@ -30,7 +30,7 @@ from .mathkernel import (
     tricomi_psi11,
 )
 from .power import closed_form_check, solve_water_level
-from .relaying import sir_sample, sinr_bs, symbol_level_oracle
+from .relaying import sinr_bs_combine, sir_sample, symbol_level_oracle
 
 __all__ = [
     "ConfigError",
@@ -238,15 +238,12 @@ def _fmt(v):
 
 
 def _outage_rows(cfg: ExperimentConfig, side: str, lam: float):
-    rows = []
-    for gbar_db in cfg.sir_grid_db:
-        power = replace(cfg.power, gamma_bar_db=float(gbar_db))
-        est = outage_mc(cfg.geometry, power, lam, cfg.gamma_th, side,
-                        cfg.trials, cfg.seed, cfg.workers)
-        rows.append((gbar_db, cfg.power.w_db, cfg.power.p_cci_db, cfg.gamma_th, side,
-                     est.p_out, est.ci_halfwidth, est.lower_bound, est.upper_bound,
-                     est.trials, est.excluded_draws))
-    return rows
+    ests = outage_mc(cfg.geometry, cfg.power, lam, cfg.gamma_th, side, cfg.sir_grid_db,
+                     cfg.trials, cfg.seed, cfg.workers)
+    return [(gbar_db, cfg.power.w_db, cfg.power.p_cci_db, cfg.gamma_th, side,
+             est.p_out, est.ci_halfwidth, est.lower_bound, est.upper_bound,
+             est.trials, est.excluded_draws)
+            for gbar_db, est in zip(cfg.sir_grid_db, ests)]
 
 
 def _rate_rows(cfg: ExperimentConfig, lam: float):
@@ -322,7 +319,7 @@ def _validation_rows(cfg: ExperimentConfig):
     bad = np.count_nonzero((s.gamma_bs1[fin] > mn * (1 + slack))
                            | (s.gamma_bs1[fin] < 0.5 * mn * (1 - slack)))
     check("bound-sandwich-violations", float(bad), 0.0)
-    sinr = sinr_bs(draw, geom, power, level.lam)
+    sinr = sinr_bs_combine(s.gamma1, s.gamma2)
     bad = np.count_nonzero(sinr[fin] > s.gamma_bs1[fin])
     check("sinr-le-sir-violations", float(bad), 0.0)
     up = s.valid & np.isfinite(s.gamma_su1_upper)

@@ -24,7 +24,9 @@ __all__ = [
     "relay_gain",
     "relay_gain_noisy",
     "bs_sir",
+    "check_gamma2_routes",
     "sir_sample",
+    "sinr_bs_combine",
     "sinr_bs",
     "symbol_level_oracle",
 ]
@@ -108,13 +110,32 @@ def bs_sir(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_
     return gamma1, gamma2, gamma_bs1
 
 
+def check_gamma2_routes(draw: FadingRealization, geom: ScenarioGeometry,
+                        cfg: PowerConfig, lam: float, gamma2):
+    """Raise RuntimeError when gamma2 grossly disagrees with its
+    reformulation max(0, c2/T - 1), c2 = lam/(eta4 P): that would indicate
+    an algebra transcription bug."""
+    e = geom.epsilon
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (geom.q ** -e * draw.u2 + geom.r ** -e * draw.v2) * (draw.f2 / draw.g2)
+        gamma2_alt = np.maximum(lam / (derive_etas(geom).eta4 * cfg.p_cci_lin) / t - 1.0, 0.0)
+
+    # mixed abs/rel: near the clipping boundary gamma2 -> 0+ cancellation
+    # makes a pure relative comparison meaningless
+    both = np.isfinite(gamma2) & np.isfinite(gamma2_alt)
+    if both.any():
+        gap = np.abs(gamma2[both] - gamma2_alt[both]) / np.maximum(
+            1.0, np.maximum(gamma2[both], gamma2_alt[both]))
+        if gap.max() > 1e-9:
+            raise RuntimeError(
+                f"gamma2 dual-route disagreement: max deviation {gap.max():.3e}")
+
+
 def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
                lam: float) -> SirSample:
     """Compute all SIR quantities for a batch of draws at a solved water level.
 
-    gamma2 is evaluated both from its definition and from the reformulation
-    max(0, c2/T - 1) with c2 = lam/(eta4 P); a gross disagreement raises, as
-    it would indicate an algebra transcription bug.
+    gamma2 is checked against its reformulation (`check_gamma2_routes`).
     """
     et = derive_etas(geom)
     e = geom.epsilon
@@ -136,19 +157,7 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
         # gamma5 = (P s^-eps h2 + P_su1 l^-eps g2)/(P r^-eps v2), grouped so
         # that gamma5 == gamma4 bitwise whenever p_su1 == 0
         gamma5 = gamma4 + p_su1 * (geom.l ** -e) * g2 / (p * geom.r ** -e * v2)
-        # reformulated route: gamma2 = max(0, c2/T - 1)
-        t = (geom.q ** -e * u2 + geom.r ** -e * v2) * (f2 / g2)
-        gamma2_alt = np.maximum(lam / (et.eta4 * p) / t - 1.0, 0.0)
-
-    # mixed abs/rel: near the clipping boundary gamma2 -> 0+ cancellation
-    # makes a pure relative comparison meaningless
-    both = np.isfinite(gamma2) & np.isfinite(gamma2_alt)
-    if both.any():
-        gap = np.abs(gamma2[both] - gamma2_alt[both]) / np.maximum(
-            1.0, np.maximum(gamma2[both], gamma2_alt[both]))
-        if gap.max() > 1e-9:
-            raise RuntimeError(
-                f"gamma2 dual-route disagreement: max deviation {gap.max():.3e}")
+    check_gamma2_routes(batch, geom, cfg, lam, gamma2)
 
     gamma_su1 = _harmonic(gamma3, gamma4, gamma5)
     gamma_su1_upper = _harmonic(gamma3, gamma4, gamma4)
@@ -158,6 +167,17 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
                      gamma_bs1, gamma_su1, gamma_su1_upper, p_su1, valid)
 
 
+def sinr_bs_combine(gamma1, gamma2):
+    """g1 g2/(g1 + g2 + 1), taken to its limit where gamma2 == 0 or a
+    component is infinite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = gamma1 * gamma2 / (gamma1 + gamma2 + 1.0)
+    out = np.where((gamma2 == 0) & np.isfinite(gamma1), 0.0, out)
+    out = np.where(np.isinf(gamma1) & np.isfinite(gamma2), gamma2, out)
+    out = np.where(np.isinf(gamma1) & np.isinf(gamma2), np.inf, out)
+    return out
+
+
 def sinr_bs(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
             lam: float):
     """Noise-aware combining at the base station: g1 g2/(g1 + g2 + 1).
@@ -165,12 +185,7 @@ def sinr_bs(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
     Always below the interference-only SIR; the gap vanishes as g1*g2 grows.
     """
     s = sir_sample(draw, geom, cfg, lam)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = s.gamma1 * s.gamma2 / (s.gamma1 + s.gamma2 + 1.0)
-    out = np.where((s.gamma2 == 0) & np.isfinite(s.gamma1), 0.0, out)
-    out = np.where(np.isinf(s.gamma1) & np.isfinite(s.gamma2), s.gamma2, out)
-    out = np.where(np.isinf(s.gamma1) & np.isinf(s.gamma2), np.inf, out)
-    return out
+    return sinr_bs_combine(s.gamma1, s.gamma2)
 
 
 def _unit_symbols(rng, n):

@@ -60,7 +60,7 @@ def outage_curve(geom, w_db, cci_db, side, seed, trials_fn):
     rows = []
     for gbar in GRID:
         p = replace(power, gamma_bar_db=gbar)
-        rows.append(outage_mc(geom, p, lam, 3.0, side, trials_fn(gbar), seed))
+        rows.append(outage_mc(geom, p, lam, 3.0, side, [p.gamma_bar_db], trials_fn(gbar), seed)[0])
     return rows
 
 
@@ -150,7 +150,7 @@ def test_criterion_3_bs_bound_sandwich(scenario):
         power, lam = solve(geom, w_db, 20.0, 25.0)
         for gbar in (25.0, 30.0, 35.0, 40.0):
             est = outage_mc(geom, replace(power, gamma_bar_db=gbar), lam, 3.0,
-                            "bs", 10**6, seed)
+                            "bs", [gbar], 10**6, seed)[0]
             rel = abs(est.lower_bound - est.p_out) / est.p_out
             detail_worst = max(detail_worst, rel)
             ok_tight &= rel < 0.10

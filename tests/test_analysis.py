@@ -6,18 +6,24 @@ import math
 import numpy as np
 import pytest
 
+import curelay.analysis
+import curelay.relaying
 from curelay import (
+    FadingRealization,
     PowerConfig,
     derive_etas,
     dist_su_upper,
     outage_bs_bounds,
     outage_mc,
     rate_curve,
+    sample_fading,
+    sir_sample,
     solve_water_level,
     su_outage_closed_form,
 )
-from curelay.analysis import _gamma2_cdf
+from curelay.analysis import _gamma2_cdf, _outage_block
 from curelay.mathkernel import NumericTolerance, integrate
+from curelay.relaying import check_gamma2_routes
 
 TIGHT = NumericTolerance(rel_tol=1e-11, abs_tol=1e-300, max_iter=4000)
 
@@ -33,42 +39,98 @@ def solved(default_geom, default_cfg):
 
 
 def test_outage_zero_threshold(default_geom, default_cfg, solved):
-    est = outage_mc(default_geom, default_cfg, solved, 0.0, "bs", 10_000, seed=1)
+    est = outage_mc(default_geom, default_cfg, solved, 0.0, "bs", [default_cfg.gamma_bar_db],
+                    10_000, seed=1)[0]
     assert est.p_out == 0.0
     assert est.lower_bound == 0.0 and est.upper_bound == 0.0
 
 
 def test_outage_huge_threshold(default_geom, default_cfg, solved):
-    est = outage_mc(default_geom, default_cfg, solved, 1e12, "su", 10_000, seed=1)
+    est = outage_mc(default_geom, default_cfg, solved, 1e12, "su", [default_cfg.gamma_bar_db],
+                    10_000, seed=1)[0]
     assert est.p_out > 0.9999
 
 
 def test_outage_requires_level(default_geom, default_cfg):
     with pytest.raises(ValueError):
-        outage_mc(default_geom, default_cfg, None, 3.0, "bs", 10_000, seed=1)
+        outage_mc(default_geom, default_cfg, None, 3.0, "bs", [default_cfg.gamma_bar_db],
+                  10_000, seed=1)
     with pytest.raises(ValueError):
-        outage_mc(default_geom, default_cfg, 1.0, 3.0, "both", 10_000, seed=1)
+        outage_mc(default_geom, default_cfg, 1.0, 3.0, "both", [default_cfg.gamma_bar_db],
+                  10_000, seed=1)
     with pytest.raises(ValueError):
-        outage_mc(default_geom, default_cfg, 1.0, 3.0, "bs", 100, seed=1)
+        outage_mc(default_geom, default_cfg, 1.0, 3.0, "bs", [default_cfg.gamma_bar_db],
+                  100, seed=1)
 
 
 def test_outage_deterministic_and_worker_invariant(default_geom, default_cfg, solved):
-    a = outage_mc(default_geom, default_cfg, solved, 3.0, "bs", 120_000, seed=5,
-                  workers=1, block_size=25_000)
-    b = outage_mc(default_geom, default_cfg, solved, 3.0, "bs", 120_000, seed=5,
-                  workers=3, block_size=25_000)
+    a = outage_mc(default_geom, default_cfg, solved, 3.0, "bs", [default_cfg.gamma_bar_db],
+                  120_000, seed=5, workers=1, block_size=25_000)[0]
+    b = outage_mc(default_geom, default_cfg, solved, 3.0, "bs", [default_cfg.gamma_bar_db],
+                  120_000, seed=5, workers=3, block_size=25_000)[0]
     assert a == b
 
 
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_outage_grid_equals_one_point_calls(default_geom, default_cfg, solved, side):
+    # 100_000 = 3 x 30_000 + a 10_000 remainder block
+    grid = (10.0, 20.0, 30.0)
+    kw = dict(trials=100_000, seed=21, block_size=30_000)
+    singles = [outage_mc(default_geom, default_cfg, solved, 3.0, side, [g], **kw)[0]
+               for g in grid]
+    for workers in (1, 2):
+        ests = outage_mc(default_geom, default_cfg, solved, 3.0, side, grid,
+                         workers=workers, **kw)
+        assert ests == singles, workers
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_dual_route_check_sees_every_draw_of_every_point(monkeypatch, default_geom,
+                                                         default_cfg, solved, side):
+    seen = []
+
+    def counting(draw, geom, cfg, lam, gamma2):
+        seen.append((cfg.gamma_bar_db, gamma2.size))
+        return check_gamma2_routes(draw, geom, cfg, lam, gamma2)
+
+    monkeypatch.setattr(curelay.analysis, "check_gamma2_routes", counting)
+    monkeypatch.setattr(curelay.relaying, "check_gamma2_routes", counting)
+    outage_mc(default_geom, default_cfg, solved, 3.0, side, [10.0, 20.0], 25_000, seed=2,
+              block_size=10_000)
+    assert sorted(seen) == sorted((g, n) for g in (10.0, 20.0) for n in (10_000, 10_000, 5_000))
+
+
+def test_dual_route_check_raises_on_disagreement(default_geom, default_cfg, solved):
+    draw = sample_fading(np.random.default_rng(4), default_cfg, 10_000)
+    s = sir_sample(draw, default_geom, default_cfg, solved)
+    check_gamma2_routes(draw, default_geom, default_cfg, solved, s.gamma2)
+    with pytest.raises(RuntimeError, match="dual-route"):
+        check_gamma2_routes(draw, default_geom, default_cfg, solved, s.gamma2 * (1 + 1e-6) + 1e-6)
+
+
+def test_outage_bs_counts_transmitting_draw_with_zero_v2(default_geom, default_cfg, solved):
+    # v2 == 0 makes the SU-side SIR 0/0, but gamma_bs1 is defined and the SU
+    # transmits, so the BS side counts the draw
+    one = np.ones(1)
+    draw = FadingRealization(h2=1e3 * one, g2=1e3 * one, f2=one, u2=one,
+                             v2=np.zeros(1), w2=one)
+    s = sir_sample(draw, default_geom, default_cfg, solved)
+    assert s.p_su1[0] > 0 and not s.valid[0] and np.isfinite(s.gamma_bs1[0])
+    assert _outage_block(draw, default_cfg, default_geom, solved, 3.0, "bs")[1] == 1
+    assert _outage_block(draw, default_cfg, default_geom, solved, 3.0, "su")[1] == 0
+
+
 def test_outage_ci_definition(default_geom, default_cfg, solved):
-    est = outage_mc(default_geom, default_cfg, solved, 3.0, "su", 50_000, seed=9)
+    est = outage_mc(default_geom, default_cfg, solved, 3.0, "su", [default_cfg.gamma_bar_db],
+                    50_000, seed=9)[0]
     expect = 1.96 * math.sqrt(est.p_out * (1 - est.p_out) / est.trials)
     assert est.ci_halfwidth == pytest.approx(expect, rel=1e-12)
     assert est.trials + est.excluded_draws == 50_000
 
 
 def test_outage_bs_within_bounds(default_geom, default_cfg, solved):
-    est = outage_mc(default_geom, default_cfg, solved, 3.0, "bs", 200_000, seed=3)
+    est = outage_mc(default_geom, default_cfg, solved, 3.0, "bs", [default_cfg.gamma_bar_db],
+                    200_000, seed=3)[0]
     assert est.lower_bound - 3 * est.ci_halfwidth <= est.p_out
     assert est.p_out <= est.upper_bound + 3 * est.ci_halfwidth
 
@@ -77,7 +139,8 @@ def test_outage_monotone_in_gamma_bar(default_geom, solved):
     outs = []
     for gbar in (5.0, 15.0, 25.0, 35.0):
         cfg = PowerConfig(p_cci_db=20.0, w_db=10.0, gamma_bar_db=gbar)
-        outs.append(outage_mc(default_geom, cfg, solved, 3.0, "su", 100_000, seed=4).p_out)
+        outs.append(outage_mc(default_geom, cfg, solved, 3.0, "su", [cfg.gamma_bar_db],
+                              100_000, seed=4)[0].p_out)
     assert all(b <= a + 0.003 for a, b in zip(outs, outs[1:]))
 
 
@@ -86,7 +149,8 @@ def test_outage_monotone_in_w(default_geom):
     for w in (0.0, 5.0, 10.0, 15.0):
         cfg = PowerConfig(p_cci_db=20.0, w_db=w, gamma_bar_db=25.0)
         lam = solve_water_level(default_geom, cfg).lam
-        outs.append(outage_mc(default_geom, cfg, lam, 3.0, "bs", 100_000, seed=6).p_out)
+        outs.append(outage_mc(default_geom, cfg, lam, 3.0, "bs", [cfg.gamma_bar_db],
+                              100_000, seed=6)[0].p_out)
     assert all(b <= a + 0.004 for a, b in zip(outs, outs[1:]))
 
 
@@ -170,8 +234,10 @@ def test_su_outage_ordering(default_geom, solved):
     cfg15 = PowerConfig(p_cci_db=20.0, w_db=5.0, gamma_bar_db=25.0)
     lam10 = solve_water_level(default_geom, cfg10).lam
     lam15 = solve_water_level(default_geom, cfg15).lam
-    p10 = outage_mc(default_geom, cfg10, lam10, 3.0, "su", 300_000, seed=8)
-    p15 = outage_mc(default_geom, cfg15, lam15, 3.0, "su", 300_000, seed=9)
+    p10 = outage_mc(default_geom, cfg10, lam10, 3.0, "su", [cfg10.gamma_bar_db],
+                    300_000, seed=8)[0]
+    p15 = outage_mc(default_geom, cfg15, lam15, 3.0, "su", [cfg15.gamma_bar_db],
+                    300_000, seed=9)[0]
     closed = su_outage_closed_form(3.0, default_geom, cfg10)
     slack = 3 * math.hypot(p10.ci_halfwidth, p15.ci_halfwidth)
     assert p10.p_out >= p15.p_out - slack
@@ -183,9 +249,9 @@ def test_w_cci_difference_invariance(default_geom):
     cfg_a = PowerConfig(p_cci_db=20.0, w_db=5.0, gamma_bar_db=20.0)
     cfg_b = PowerConfig(p_cci_db=30.0, w_db=15.0, gamma_bar_db=20.0)
     pa = outage_mc(default_geom, cfg_a, solve_water_level(default_geom, cfg_a).lam,
-                   3.0, "bs", 300_000, seed=10)
+                   3.0, "bs", [cfg_a.gamma_bar_db], 300_000, seed=10)[0]
     pb = outage_mc(default_geom, cfg_b, solve_water_level(default_geom, cfg_b).lam,
-                   3.0, "bs", 300_000, seed=11)
+                   3.0, "bs", [cfg_b.gamma_bar_db], 300_000, seed=11)[0]
     assert abs(pa.p_out - pb.p_out) <= 3 * math.hypot(pa.ci_halfwidth, pb.ci_halfwidth)
 
 

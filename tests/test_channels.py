@@ -3,6 +3,7 @@ the interference-ratio variables, each checked against an independent route
 (quadrature of the defining integral, Monte-Carlo ECDF, finite differences)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,6 +87,27 @@ def test_sampler_deterministic(default_cfg):
     b = sample_fading(np.random.default_rng(7), default_cfg, 1000)
     for name in ("h2", "g2", "f2", "u2", "v2", "w2"):
         assert (getattr(a, name) == getattr(b, name)).all()
+
+
+def test_unit_draw_scales_bitwise_to_gamma_bar(default_cfg):
+    """The sweep engine samples unit-mean gains once per block and scales
+    h2, g2, f2 by each point's gamma_bar. That reproduces sampling at
+    gamma_bar only while numpy's exponential(scale) is scale times its
+    unit-mean draw, bit for bit; a numpy change that breaks it fails here."""
+    n = 250_000
+    for gbar in (1e-3, 0.5, 1.0, math.sqrt(10.0), 7.3, 1e3, 1e4):
+        a = np.random.default_rng([5, 2]).exponential(gbar, n)
+        b = gbar * np.random.default_rng([5, 2]).exponential(1.0, n)
+        assert np.array_equal(a, b), gbar
+    unit_cfg = replace(default_cfg, gamma_bar_db=0.0)
+    for gbar_db in (0.0, 5.0, 12.5, 40.0):
+        cfg = replace(default_cfg, gamma_bar_db=gbar_db)
+        d = sample_fading(np.random.default_rng([5, 3]), cfg, n)
+        unit = sample_fading(np.random.default_rng([5, 3]), unit_cfg, n)
+        for name in ("h2", "g2", "f2"):
+            assert np.array_equal(getattr(d, name), getattr(unit, name) * cfg.gamma_bar_lin)
+        for name in ("u2", "v2", "w2"):
+            assert np.array_equal(getattr(d, name), getattr(unit, name))
 
 
 def test_sampler_u2_ks(default_cfg):

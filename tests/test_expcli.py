@@ -231,7 +231,8 @@ def test_csv_digest_frozen(tmp_path, cmd):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FAST_DIGESTS[cmd], workers
 
 
-def test_rate_starts_one_pool_per_policy(tmp_path, monkeypatch):
+def pools_started(tmp_path, monkeypatch, cmd, body):
+    """Run `cmd` at workers = 2 and count the process pools it starts."""
     started = []
 
     class CountingPool(curelay.analysis.ProcessPoolExecutor):
@@ -240,10 +241,18 @@ def test_rate_starts_one_pool_per_policy(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(curelay.analysis, "ProcessPoolExecutor", CountingPool)
-    body = FAST_BODY.replace("trials = 20000", "trials = 100000")
     cfg = load_config(write_cfg(tmp_path, body))
-    run_experiment("rate", replace(cfg, workers=2), tmp_path / "r.csv")
-    assert len(started) == 2
+    run_experiment(cmd, replace(cfg, workers=2), tmp_path / "out.csv")
+    return len(started)
+
+
+def test_rate_starts_one_pool_per_policy(tmp_path, monkeypatch):
+    body = FAST_BODY.replace("trials = 20000", "trials = 100000")
+    assert pools_started(tmp_path, monkeypatch, "rate", body) == 2
+
+
+def test_outage_starts_one_pool_per_command(tmp_path, monkeypatch):
+    assert pools_started(tmp_path, monkeypatch, "outage-bs", FAST_BODY) == 1
 
 
 def test_water_level_csv(tmp_path):
