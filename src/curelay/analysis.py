@@ -7,9 +7,12 @@ draws unit-mean gains from a generator seeded by (seed, k * 1,000,000 + i),
 and each point of the group scales h2, g2, f2 by its own gamma_bar
 (bitwise what sampling at that mean gives). An `outage_mc` sweep is one
 group, so every point reuses the draws of blocks (seed, i); a `rate_curve`
-point is a group of its own. Each call runs all its blocks through one
-process pool and reduces the partial sums in block order, so results are
-bit-identical for any worker count.
+point is a group of its own. An outage block evaluates its points on
+slices of `OUTAGE_CHUNK` draws and adds the slices' outage counts, which
+keeps its working set in cache; rate blocks, whose sums are floating-point,
+run whole. Each call runs all its blocks through one process pool and
+reduces the partial sums in block order, so results are bit-identical for
+any worker count.
 
 Outage semantics: at the base station the statistic is conditioned on the
 secondary actually transmitting (P_su1 > 0), matching the truncated law the
@@ -29,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import (
+    FadingRealization,
     PowerConfig,
     ScenarioGeometry,
     derive_etas,
@@ -51,6 +55,9 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 250_000
+# Draws per slice of an outage block: the slice's temporaries stay in cache
+# and are reused by the allocator instead of being faulted in afresh
+OUTAGE_CHUNK = 16_384
 _LN2 = math.log(2.0)
 
 
@@ -94,25 +101,34 @@ _UNIT_MEAN = PowerConfig(p_cci_db=0.0, w_db=0.0, gamma_bar_db=0.0)
 
 
 def _run_block(task):
-    block_fn, group, args, seed, stream, n = task
+    block_fn, group, args, seed, stream, n, chunk = task
     draw = sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n)
-    unit = (draw.h2, draw.g2, draw.f2)
-    parts = []
-    for j, cfg in enumerate(group):
-        # the last point scales the unit draw in place, so a group of one copies nothing
-        last = j == len(group) - 1
-        h2, g2, f2 = (np.multiply(a, cfg.gamma_bar_lin, out=a if last else None) for a in unit)
-        parts.append(block_fn(replace(draw, h2=h2, g2=g2, f2=f2), cfg, *args))
+    parts = None
+    for lo in range(0, n, chunk):
+        piece = FadingRealization(*(a[lo:lo + chunk] for a in (
+            draw.h2, draw.g2, draw.f2, draw.u2, draw.v2, draw.w2)))
+        unit = (piece.h2, piece.g2, piece.f2)
+        sums = []
+        for j, cfg in enumerate(group):
+            # the last point scales the unit draw in place, so a group of one copies nothing
+            last = j == len(group) - 1
+            h2, g2, f2 = (np.multiply(a, cfg.gamma_bar_lin, out=a if last else None)
+                          for a in unit)
+            sums.append(block_fn(replace(piece, h2=h2, g2=g2, f2=f2), cfg, *args))
+        parts = sums if parts is None else [
+            tuple(a + b for a, b in zip(acc, part)) for acc, part in zip(parts, sums)]
     return parts
 
 
-def _sweep(block_fn, args, groups, trials, seed, workers, block_size):
+def _sweep(block_fn, args, groups, trials, seed, workers, block_size, chunk=None):
     """Per PowerConfig of every group in `groups`, in order, the column sums
     of block_fn(draw, cfg, *args) over `trials` draws, in the block layout of
-    the module docstring."""
+    the module docstring. With `chunk`, block_fn runs on consecutive slices
+    of at most `chunk` draws of each block and its sums are added slice by
+    slice, which is exact only for integer sums."""
     n_full, rem = divmod(trials, block_size)
     sizes = [block_size] * n_full + ([rem] if rem else [])
-    tasks = [(block_fn, group, args, seed, k * 1_000_000 + i, n)
+    tasks = [(block_fn, group, args, seed, k * 1_000_000 + i, n, chunk or n)
              for k, group in enumerate(groups) for i, n in enumerate(sizes)]
     if workers <= 1:
         parts = [_run_block(t) for t in tasks]
@@ -160,7 +176,7 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
         raise ValueError("trials must be >= 1e4")
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
     sums = _sweep(_outage_block, (geom, lam, gamma_th, side), [configs], trials, seed,
-                  workers, block_size)
+                  workers, block_size, OUTAGE_CHUNK)
     out = []
     for point, (n_out, n_counted) in zip(configs, sums):
         p_out = n_out / n_counted if n_counted else math.nan

@@ -85,6 +85,21 @@ def test_outage_grid_equals_one_point_calls(default_geom, default_cfg, solved, s
 
 
 @pytest.mark.parametrize("side", ["bs", "su"])
+def test_outage_slices_leave_estimates_unchanged(monkeypatch, default_geom, default_cfg,
+                                                 solved, side):
+    # blocks of 30_000 and 10_000 cut into slices of 7_000 with remainders
+    grid = (10.0, 20.0, 30.0)
+    kw = dict(trials=100_000, seed=21, block_size=30_000)
+    monkeypatch.setattr(curelay.analysis, "OUTAGE_CHUNK", 30_000)
+    whole = outage_mc(default_geom, default_cfg, solved, 3.0, side, grid, **kw)
+    monkeypatch.setattr(curelay.analysis, "OUTAGE_CHUNK", 7_000)
+    for workers in (1, 2):
+        sliced = outage_mc(default_geom, default_cfg, solved, 3.0, side, grid,
+                           workers=workers, **kw)
+        assert sliced == whole, workers
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
 def test_dual_route_check_sees_every_draw_of_every_point(monkeypatch, default_geom,
                                                          default_cfg, solved, side):
     seen = []
