@@ -203,8 +203,7 @@ def dist_t(x, geom: ScenarioGeometry):
         return pdf, np.clip(cdf, 0.0, 1.0)
     qx = et.q_eps * arr
     rx = et.r_eps * arr
-    psi_q = tricomi_psi11(qx)
-    psi_r = tricomi_psi11(rx)
+    psi_q, psi_r = tricomi_psi11(np.stack([qx, rx]))
     cdf = et.c1 * arr * (psi_q - psi_r)
     pdf = et.c1 * ((1.0 + qx) * psi_q - (1.0 + rx) * psi_r)
     return pdf, np.clip(cdf, 0.0, 1.0)

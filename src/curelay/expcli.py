@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import outage_mc, rate_curve
-from .channels import PowerConfig, ScenarioGeometry, derive_etas, dist_t, sample_fading
+from .channels import (PowerConfig, ScenarioGeometry, derive_etas, dist_t, dist_v3,
+                       sample_fading)
 from .mathkernel import (
     BracketError,
     IntegrationError,
@@ -292,6 +293,8 @@ def _validation_rows(cfg: ExperimentConfig):
     worst = 0.0
     for x in (0.1, 1.0, 7.0, 50.0):
         def inner(y):
+            if et.c1 is None:
+                return (x / (x + y)) * dist_v3(y, geom)[0]
             return (x / (x + y)) * et.c1 * (np.exp(-et.q_eps * y) - np.exp(-et.r_eps * y))
         ref = integrate(inner, 0.0, math.inf, tight).value
         _, cdf = dist_t(x, geom)

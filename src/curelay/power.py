@@ -71,9 +71,12 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig,
                       tol: NumericTolerance = ROOT_TOL) -> WaterLevel:
     """Solve the average-interference equality for the water level."""
     w_lin = cfg.w_lin
+    last = [None, None]  # the last (lam, g(lam)); the root finder ends on its root
 
     def g(lam):
-        return constraint_lhs(lam, geom, cfg)
+        if last[0] != lam:
+            last[:] = lam, constraint_lhs(lam, geom, cfg)
+        return last[1]
 
     lam = solve_root_monotone(g, w_lin, tol, lo=0.0,
                               ceiling=CEILING_FACTOR * w_lin, first_step=w_lin)
@@ -104,18 +107,30 @@ def _m_reduction(z):
     return (z * z - z + 1.0) * tricomi_psi11(z) - z + math.log(z) + EULER_GAMMA
 
 
+def _cdf_t_integral_limit(a, x):
+    """int_0^x F_T for q == r (the Gamma(2) limit law of V3, a = q^eps):
+    (2/a) [Y - ln Y - gamma - (Y^2/2 - Y + 1) Psi(1,1,Y)], Y = a x."""
+    y = a * x
+    return (2.0 / a) * (y - math.log(y) - EULER_GAMMA
+                        - (0.5 * y * y - y + 1.0) * tricomi_psi11(y))
+
+
 def _closed_form_value(lam, geom, cfg, gamma_scaled):
     et = derive_etas(geom)
-    if et.c1 is None:
-        raise ValueError("closed-form check requires q != r")
     gbar = cfg.gamma_bar_lin
     b = et.eta4 * cfg.p_cci_lin
     x = lam / (b * gbar) if gamma_scaled else lam / b
-    first = lam * et.c1 * x * (tricomi_psi11(et.q_eps * x) - tricomi_psi11(et.r_eps * x))
+    if et.c1 is None:
+        # int_0^x t f_T = x F_T(x) - int_0^x F_T, by parts
+        cdf = float(dist_t(x, geom)[1])
+        first = lam * cdf
+        moment = x * cdf - _cdf_t_integral_limit(et.q_eps, x)
+    else:
+        first = lam * et.c1 * x * (tricomi_psi11(et.q_eps * x) - tricomi_psi11(et.r_eps * x))
+        moment = et.c1 * (et.q_eps ** -2 * _m_reduction(et.q_eps * x)
+                          - et.r_eps ** -2 * _m_reduction(et.r_eps * x))
     if gamma_scaled:
         first *= 1.0 - 1.0 / gbar
-    moment = et.c1 * (et.q_eps ** -2 * _m_reduction(et.q_eps * x)
-                      - et.r_eps ** -2 * _m_reduction(et.r_eps * x))
     return first - b * moment
 
 

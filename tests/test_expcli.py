@@ -1,6 +1,7 @@
 """Config parsing, relay selection, CSV determinism, and CLI exit codes."""
 
 import hashlib
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -298,6 +299,36 @@ def test_cli_overrides_and_run(tmp_path):
     assert any(m == "# seed = 5" for m in meta)
     assert [row[0] for row in rows] == ["10", "20"]
     assert rows[0][1] == "8" and rows[0][2] == "18"
+
+
+# su1_x = 0.5, pu1_x = 0.75 and sin(angle) = -0.3125 put PU4 at equal
+# distance from BS1 and PU1 (q == r), the limit branch of the T law
+EQUAL_QR_BODY = FAST_BODY + f"""
+su1_x = 0.5
+pu1_x = 0.75
+pu4_angle_deg = {math.degrees(math.asin(-0.3125))!r}
+"""
+
+
+@pytest.mark.parametrize("cmd", ["water-level", "outage-bs"])
+def test_cli_runs_at_equal_pu4_distances(tmp_path, cmd):
+    cfgp = write_cfg(tmp_path, EQUAL_QR_BODY)
+    geom = load_config(cfgp).geometry
+    assert geom.q == geom.r
+    out = tmp_path / "qr.csv"
+    r = run_cli(cmd, "--config", str(cfgp), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    meta, _, rows = read_rows(out)
+    header = dict(m[2:].split(" = ") for m in meta)
+    w_lin = 10.0 ** (10.0 / 10.0)
+    assert abs(float(header["closed_form_consistent_residual"])) <= 1e-6 * w_lin
+    assert rows
+
+
+def test_validate_passes_at_equal_pu4_distances(tmp_path):
+    r = run_cli("validate", "--config", str(write_cfg(tmp_path, EQUAL_QR_BODY)),
+                "--out", str(tmp_path / "v.csv"))
+    assert r.returncode == 0, r.stderr
 
 
 def test_failed_run_keeps_existing_output(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from curelay import (
     FadingRealization,
     PowerConfig,
+    ScenarioGeometry,
     closed_form_check,
     constraint_lhs,
     fixed_power,
@@ -87,6 +88,18 @@ def test_closed_form_scale_invariance(default_geom):
     rb = closed_form_check(lb.lam, default_geom, scaled)
     assert rb.as_printed_value / scaled.w_lin == pytest.approx(
         ra.as_printed_value / base.w_lin, rel=1e-6)
+
+
+def test_closed_form_at_equal_pu4_distances(default_cfg):
+    # q == r: the consistent closed form still reproduces the quadrature
+    geom = ScenarioGeometry(s=0.75, l=0.25, r=0.55, q=0.55, z=0.4, d=1.5, epsilon=4.0)
+    for lam in (0.5, 5.0, 30.0, 300.0):
+        value = closed_form_check(lam, geom, default_cfg).consistent_value
+        assert value == pytest.approx(constraint_lhs(lam, geom, default_cfg), rel=1e-9)
+    level = solve_water_level(geom, default_cfg)
+    rep = closed_form_check(level.lam, geom, default_cfg)
+    assert abs(rep.consistent_residual) <= 1e-6 * default_cfg.w_lin
+    assert abs(rep.as_printed_residual) > 0.1 * default_cfg.w_lin
 
 
 def test_optimal_power_zero_level(default_geom, default_cfg):
