@@ -7,12 +7,15 @@ draws unit-mean gains from a generator seeded by (seed, k * 1,000,000 + i),
 and each point of the group scales h2, g2, f2 by its own gamma_bar
 (bitwise what sampling at that mean gives). An `outage_mc` sweep is one
 group, so every point reuses the draws of blocks (seed, i); a `rate_curve`
-point is a group of its own. An outage block evaluates its points on
-slices of `OUTAGE_CHUNK` draws and adds the slices' outage counts, which
-keeps its working set in cache; rate blocks, whose sums are floating-point,
-run whole. Each call runs all its blocks through one process pool and
-reduces the partial sums in block order, so results are bit-identical for
-any worker count.
+point is a group of its own, and every power policy of the call is
+evaluated on that point's draws. Both kinds of block do their elementwise
+work on slices of `SLICE_DRAWS` draws, which keeps the working set in cache:
+an outage block adds the slices' outage counts, while a rate block packs
+the per-draw terms of each slice's counted draws into block-length arrays
+and forms its floating-point sums over the whole block, so the slice length
+never moves a bit. Each call runs all its blocks through one process pool and reduces the
+partial sums in block order, so results are bit-identical for any worker
+count.
 
 Outage semantics: at the base station the statistic is conditioned on the
 secondary actually transmitting (P_su1 > 0), matching the truncated law the
@@ -55,9 +58,17 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 250_000
-# Draws per slice of an outage block: the slice's temporaries stay in cache
-# and are reused by the allocator instead of being faulted in afresh
-OUTAGE_CHUNK = 16_384
+OUTAGE_MIN_TRIALS = 10_000
+RATE_MIN_TRIALS = 100_000
+# Draws per slice of a block's elementwise work: the slice's temporaries stay
+# in cache and are reused by the allocator instead of being faulted in afresh.
+# They stay on the heap only by way of glibc's dynamic mmap threshold: a slice
+# array is 16,384 x 8 B = 128 KiB, exactly the default threshold, and it is
+# the freeing of each block's 2 MB fading draw that raises the threshold
+# above it. Reusing one sampling buffer across blocks (never freed) sent every
+# slice array through mmap: an mc_outage pass went from 27k to 372k page
+# faults and from 2.3 to 3.1 s (2-vCPU x86-64 host, glibc malloc).
+SLICE_DRAWS = 16_384
 _LN2 = math.log(2.0)
 
 
@@ -100,13 +111,18 @@ class RateEstimate:
 _UNIT_MEAN = PowerConfig(p_cci_db=0.0, w_db=0.0, gamma_bar_db=0.0)
 
 
+def _slices(draw, size):
+    """(start, draw[start:start + size]) for consecutive slices of `draw`."""
+    for lo in range(0, draw.h2.size, size):
+        yield lo, FadingRealization(*(a[lo:lo + size] for a in (
+            draw.h2, draw.g2, draw.f2, draw.u2, draw.v2, draw.w2)))
+
+
 def _run_block(task):
     block_fn, group, args, seed, stream, n, chunk = task
     draw = sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n)
     parts = None
-    for lo in range(0, n, chunk):
-        piece = FadingRealization(*(a[lo:lo + chunk] for a in (
-            draw.h2, draw.g2, draw.f2, draw.u2, draw.v2, draw.w2)))
+    for _, piece in _slices(draw, chunk):
         unit = (piece.h2, piece.g2, piece.f2)
         sums = []
         for j, cfg in enumerate(group):
@@ -172,11 +188,11 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
         raise ValueError("outage_mc requires a solved, nonnegative water level")
     if side not in ("bs", "su"):
         raise ValueError(f"side must be 'bs' or 'su', got {side!r}")
-    if trials < 10_000:
-        raise ValueError("trials must be >= 1e4")
+    if trials < OUTAGE_MIN_TRIALS:
+        raise ValueError(f"trials must be >= {OUTAGE_MIN_TRIALS}")
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
     sums = _sweep(_outage_block, (geom, lam, gamma_th, side), [configs], trials, seed,
-                  workers, block_size, OUTAGE_CHUNK)
+                  workers, block_size, SLICE_DRAWS)
     out = []
     for point, (n_out, n_counted) in zip(configs, sums):
         p_out = n_out / n_counted if n_counted else math.nan
@@ -275,42 +291,66 @@ def su_outage_closed_form(gamma_th: float, geom: ScenarioGeometry, cfg: PowerCon
     return float(cdf)
 
 
-def _rate_block(draw, cfg, geom, lam, policy):
-    if policy == "optimal":
-        p_su1 = optimal_power(draw, geom, cfg, lam)
-    else:
-        p_su1 = fixed_power(cfg, geom)
-    _, gamma2, gbs = bs_sir(draw, geom, cfg, p_su1)
-    valid = np.isfinite(gamma2) & np.isfinite(gbs)
-    obj = np.log1p(gamma2[valid]) / _LN2
-    e2e = 0.5 * np.log1p(gbs[valid]) / _LN2
-    return (float(obj.sum()), float(np.square(obj).sum()), float(e2e.sum()),
-            int(valid.sum()))
+def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
+    """Per policy: the sum and the sum of squares of log2(1 + gamma2), the
+    sum of 0.5 log2(1 + gamma_bs1), and the count of draws where both are
+    finite. The terms of the counted draws are computed slice by slice and
+    packed into block-length arrays, so each sum runs over the same array
+    as on the whole block and the result does not depend on `slice_draws`."""
+    n = draw.h2.size
+    obj, sq, e2e = np.empty(n), np.empty(n), np.empty(n)
+    sums = []
+    for policy in policies:
+        m = 0
+        for _, piece in _slices(draw, slice_draws):
+            if policy == "optimal":
+                p_su1 = optimal_power(piece, geom, cfg, lam)
+            else:
+                p_su1 = fixed_power(cfg, geom)
+            _, gamma2, gbs = bs_sir(piece, geom, cfg, p_su1)
+            valid = np.isfinite(gamma2) & np.isfinite(gbs)
+            k = m + int(np.count_nonzero(valid))
+            np.divide(np.log1p(gamma2[valid]), _LN2, out=obj[m:k])
+            np.square(obj[m:k], out=sq[m:k])
+            np.divide(0.5 * np.log1p(gbs[valid]), _LN2, out=e2e[m:k])
+            m = k
+        sums += (float(obj[:m].sum()), float(sq[:m].sum()), float(e2e[:m].sum()), m)
+    return sums
 
 
-def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policy: str,
+def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policies,
                sir_grid_db, trials: int, seed: int, workers: int = 1,
-               block_size: int = BLOCK_SIZE):
-    """Expected-rate sweep over average-SIR operating points for one policy.
+               block_size: int = BLOCK_SIZE) -> list[RateEstimate]:
+    """Expected-rate sweep over the average-SIR operating points of
+    `sir_grid_db` for each power policy of `policies` ("optimal", "fixed").
 
     Emits both the allocation objective E[log2(1+gamma2)] and the
-    end-to-end half-duplex rate E[0.5 log2(1+gamma_bs1)] per point.
+    end-to-end half-duplex rate E[0.5 log2(1+gamma_bs1)] per point, policy
+    by policy in the order given (the CSV's row order). Point k draws its
+    blocks from streams (seed, k * 1,000,000 + i) once, and every policy is
+    evaluated on those same draws, so a policy's estimates do not depend on
+    which other policies share the call. Deterministic for a given seed
+    regardless of `workers`.
     """
-    if policy not in ("optimal", "fixed"):
-        raise ValueError(f"policy must be 'optimal' or 'fixed', got {policy!r}")
-    if trials < 100_000:
-        raise ValueError("trials must be >= 1e5 per grid point")
-    if policy == "optimal" and (lam is None or lam < 0):
+    policies = tuple(policies)
+    for policy in policies:
+        if policy not in ("optimal", "fixed"):
+            raise ValueError(f"policy must be 'optimal' or 'fixed', got {policy!r}")
+    if trials < RATE_MIN_TRIALS:
+        raise ValueError(f"trials must be >= {RATE_MIN_TRIALS} per grid point")
+    if "optimal" in policies and (lam is None or lam < 0):
         raise ValueError("optimal policy requires a solved water level")
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
-    sums = _sweep(_rate_block, (geom, lam, policy), [[c] for c in configs], trials, seed,
-                  workers, block_size)
+    sums = _sweep(_rate_block, (geom, lam, policies, SLICE_DRAWS), [[c] for c in configs],
+                  trials, seed, workers, block_size)
     out = []
-    for sir_db, (s, ss, se, n_valid) in zip(sir_grid_db, sums):
-        mean_obj = s / n_valid
-        var = max(ss / n_valid - mean_obj * mean_obj, 0.0)
-        out.append(RateEstimate(
-            sir_db=float(sir_db), policy=policy,
-            rate_objective=mean_obj, rate_endtoend=se / n_valid,
-            ci_halfwidth=1.96 * math.sqrt(var / n_valid), trials=n_valid))
+    for j, policy in enumerate(policies):
+        for sir_db, point in zip(sir_grid_db, sums):
+            s, ss, se, n_valid = point[4 * j:4 * j + 4]
+            mean_obj = s / n_valid
+            var = max(ss / n_valid - mean_obj * mean_obj, 0.0)
+            out.append(RateEstimate(
+                sir_db=float(sir_db), policy=policy,
+                rate_objective=mean_obj, rate_endtoend=se / n_valid,
+                ci_halfwidth=1.96 * math.sqrt(var / n_valid), trials=n_valid))
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import outage_mc, rate_curve
+from .analysis import OUTAGE_MIN_TRIALS, RATE_MIN_TRIALS, outage_mc, rate_curve
 from .channels import (PowerConfig, ScenarioGeometry, derive_etas, dist_t, dist_v3,
                        sample_fading)
 from .mathkernel import (
@@ -70,6 +70,10 @@ _RATE_COLUMNS = ("gamma_bar_db", "w_db", "cci_db", "policy", "rate_objective",
 _WATER_COLUMNS = ("w_db", "cci_db", "lambda", "residual", "closed_form_printed",
                   "closed_form_consistent", "target_w_lin")
 _VALIDATE_COLUMNS = ("check", "status", "value", "threshold")
+# smallest accepted value of each integer key, and each command's trial floor
+_INT_MINIMA = {"trials": 1, "seed": 0, "workers": 1}
+_TRIAL_FLOORS = {"outage-bs": OUTAGE_MIN_TRIALS, "outage-su": OUTAGE_MIN_TRIALS,
+                 "rate": RATE_MIN_TRIALS}
 
 
 class ConfigError(ValueError):
@@ -171,6 +175,15 @@ def _geometry_from_placement(vals, lines):
         raise ConfigError(f"line {line}: invalid geometry: {exc}") from None
 
 
+def _check_int(key, value, where):
+    """`value` as an int; ConfigError naming `key` and `where` it was given
+    unless it is a whole number of at least _INT_MINIMA[key]."""
+    low = _INT_MINIMA[key]
+    if (isinstance(value, float) and not value.is_integer()) or value < low:
+        raise ConfigError(f"{where}: {key} must be an integer >= {low}, got {value}")
+    return int(value)
+
+
 def _build_config(vals, lines):
     if "seed" not in vals:
         raise ConfigError("missing mandatory key 'seed' (wall-clock seeding is not supported)")
@@ -182,14 +195,11 @@ def _build_config(vals, lines):
         grid = _parse_grid(grid, "sir_grid_db", lines.get("sir_grid_db", "?"))
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sir_grid_db must be strictly increasing")
-    for key in ("trials", "seed", "workers"):
-        if vals[key] != int(vals[key]) or int(vals[key]) < (0 if key == "seed" else 1):
-            line = lines.get(key, "?")
-            raise ConfigError(f"line {line}: {key} must be a nonnegative integer, got {vals[key]}")
+    counts = {key: _check_int(key, vals[key], f"line {lines.get(key, '?')}")
+              for key in _INT_MINIMA}
     return ExperimentConfig(
         geometry=geom, power=power, gamma_th=vals["gamma_th"],
-        sir_grid_db=grid, trials=int(vals["trials"]), seed=int(vals["seed"]),
-        workers=int(vals["workers"]), out=vals["out"],
+        sir_grid_db=grid, out=vals["out"], **counts,
     )
 
 
@@ -248,14 +258,11 @@ def _outage_rows(cfg: ExperimentConfig, side: str, lam: float):
 
 
 def _rate_rows(cfg: ExperimentConfig, lam: float):
-    rows = []
-    for policy in ("optimal", "fixed"):
-        for est in rate_curve(cfg.geometry, cfg.power, lam, policy,
-                              cfg.sir_grid_db, cfg.trials, cfg.seed, cfg.workers):
-            rows.append((est.sir_db, cfg.power.w_db, cfg.power.p_cci_db, policy,
-                         est.rate_objective, est.rate_endtoend, est.ci_halfwidth,
-                         est.trials))
-    return rows
+    ests = rate_curve(cfg.geometry, cfg.power, lam, ("optimal", "fixed"), cfg.sir_grid_db,
+                      cfg.trials, cfg.seed, cfg.workers)
+    return [(est.sir_db, cfg.power.w_db, cfg.power.p_cci_db, est.policy,
+             est.rate_objective, est.rate_endtoend, est.ci_halfwidth, est.trials)
+            for est in ests]
 
 
 def _validation_rows(cfg: ExperimentConfig):
@@ -351,6 +358,9 @@ def run_experiment(cmd: str, cfg: ExperimentConfig, out_path: str) -> int:
     """
     if cmd not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {cmd!r}")
+    floor = _TRIAL_FLOORS.get(cmd, 0)
+    if cfg.trials < floor:
+        raise ConfigError(f"trials must be >= {floor} for {cmd}, got {cfg.trials}")
     header = [f"# seed = {cfg.seed}", f"# trials = {cfg.trials}"]
     failures = 0
     if cmd == "validate":
@@ -393,12 +403,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.cci_db is not None:
         power = replace(power, p_cci_db=args.cci_db)
     updates = {"power": power}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.workers is not None:
-        updates["workers"] = args.workers
+    for key in _INT_MINIMA:
+        value = getattr(args, key)
+        if value is not None:
+            updates[key] = _check_int(key, value, f"--{key}")
     if args.sir_db is not None:
         updates["sir_grid_db"] = _parse_grid(args.sir_db, "--sir-db", "cli")
     return replace(cfg, **updates)
@@ -427,6 +435,9 @@ def main(argv=None) -> int:
         return 2
     try:
         failures = run_experiment(args.cmd, cfg, args.out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (BracketError, IntegrationError) as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return 3

@@ -90,9 +90,9 @@ def test_outage_slices_leave_estimates_unchanged(monkeypatch, default_geom, defa
     # blocks of 30_000 and 10_000 cut into slices of 7_000 with remainders
     grid = (10.0, 20.0, 30.0)
     kw = dict(trials=100_000, seed=21, block_size=30_000)
-    monkeypatch.setattr(curelay.analysis, "OUTAGE_CHUNK", 30_000)
+    monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 30_000)
     whole = outage_mc(default_geom, default_cfg, solved, 3.0, side, grid, **kw)
-    monkeypatch.setattr(curelay.analysis, "OUTAGE_CHUNK", 7_000)
+    monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 7_000)
     for workers in (1, 2):
         sliced = outage_mc(default_geom, default_cfg, solved, 3.0, side, grid,
                            workers=workers, **kw)
@@ -278,14 +278,14 @@ def test_w_cci_difference_invariance(default_geom):
 def test_rate_zero_budget(default_geom):
     cfg = PowerConfig(p_cci_db=20.0, w_db=-100.0, gamma_bar_db=25.0)
     lam = solve_water_level(default_geom, cfg).lam
-    est = rate_curve(default_geom, cfg, lam, "optimal", [25.0], 100_000, seed=12)[0]
+    est = rate_curve(default_geom, cfg, lam, ("optimal",), [25.0], 100_000, seed=12)[0]
     assert est.rate_objective < 1e-3
 
 
 def test_rate_optimal_beats_fixed(default_geom, default_cfg, solved):
     grid = [15.0, 25.0]
-    opt = rate_curve(default_geom, default_cfg, solved, "optimal", grid, 200_000, seed=13)
-    fix = rate_curve(default_geom, default_cfg, solved, "fixed", grid, 200_000, seed=13)
+    opt = rate_curve(default_geom, default_cfg, solved, ("optimal",), grid, 200_000, seed=13)
+    fix = rate_curve(default_geom, default_cfg, solved, ("fixed",), grid, 200_000, seed=13)
     for o, f in zip(opt, fix):
         assert o.rate_objective >= f.rate_objective - 3 * math.hypot(
             o.ci_halfwidth, f.ci_halfwidth)
@@ -296,7 +296,7 @@ def test_rate_objective_flat_in_gamma_bar(default_geom, default_cfg, solved):
     # the allocation objective depends on gamma_bar only through g2's mean,
     # which cancels against the policy normalization on both policies
     for policy in ("optimal", "fixed"):
-        ests = rate_curve(default_geom, default_cfg, solved, policy,
+        ests = rate_curve(default_geom, default_cfg, solved, (policy,),
                           [10.0, 30.0], 200_000, seed=14)
         assert ests[0].rate_objective == pytest.approx(
             ests[1].rate_objective,
@@ -305,16 +305,64 @@ def test_rate_objective_flat_in_gamma_bar(default_geom, default_cfg, solved):
 
 def test_rate_guards(default_geom, default_cfg, solved):
     with pytest.raises(ValueError):
-        rate_curve(default_geom, default_cfg, solved, "greedy", [25.0], 100_000, seed=1)
+        rate_curve(default_geom, default_cfg, solved, ("greedy",), [25.0], 100_000, seed=1)
     with pytest.raises(ValueError):
-        rate_curve(default_geom, default_cfg, solved, "optimal", [25.0], 99, seed=1)
+        rate_curve(default_geom, default_cfg, solved, ("optimal",), [25.0], 99, seed=1)
     with pytest.raises(ValueError):
-        rate_curve(default_geom, default_cfg, None, "optimal", [25.0], 100_000, seed=1)
+        rate_curve(default_geom, default_cfg, None, ("optimal",), [25.0], 100_000, seed=1)
+
+
+# float.hex of (sir_db, policy, rate_objective, rate_endtoend, ci_halfwidth,
+# trials) at seed 31, trials 100_000 in blocks of 30_000 plus a remainder.
+# Any change to the fading streams, the rate algebra or the order of the
+# float sums shows up here.
+FROZEN_RATES = [
+    (10.0, "optimal", "0x1.7978023ea8192p+1", "0x1.381c94d4eb2f3p+0",
+     "0x1.046c0e68b2959p-6", 100_000),
+    (25.0, "optimal", "0x1.7cd5365020271p+1", "0x1.73c573ca67728p+0",
+     "0x1.05af9f2eab632p-6", 100_000),
+    (10.0, "fixed", "0x1.0b3acb1d9073fp+1", "0x1.e33a9c4d5d7d7p-1",
+     "0x1.387661d3ccd85p-7", 100_000),
+    (25.0, "fixed", "0x1.0cd5471cbed9bp+1", "0x1.0aba49cc4460dp+0",
+     "0x1.3a74efbbb6951p-7", 100_000),
+]
+
+
+RATE_KW = dict(sir_grid_db=(10.0, 25.0), trials=100_000, seed=31, block_size=30_000)
+
+
+def test_rate_estimates_frozen(default_geom, default_cfg, solved):
+    for workers in (1, 2):
+        ests = rate_curve(default_geom, default_cfg, solved, ("optimal", "fixed"),
+                          workers=workers, **RATE_KW)
+        got = [(e.sir_db, e.policy, e.rate_objective.hex(), e.rate_endtoend.hex(),
+                e.ci_halfwidth.hex(), e.trials) for e in ests]
+        assert got == FROZEN_RATES, workers
+
+
+def test_rate_slices_leave_estimates_unchanged(monkeypatch, default_geom, default_cfg, solved):
+    # blocks of 30_000 and 10_000 cut into slices of 7_000 with remainders
+    policies = ("optimal", "fixed")
+    monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 30_000)
+    whole = rate_curve(default_geom, default_cfg, solved, policies, **RATE_KW)
+    monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 7_000)
+    for workers in (1, 2):
+        sliced = rate_curve(default_geom, default_cfg, solved, policies, workers=workers,
+                            **RATE_KW)
+        assert sliced == whole, workers
+
+
+def test_rate_two_policies_equal_two_one_policy_calls(default_geom, default_cfg, solved):
+    singles = [e for policy in ("fixed", "optimal")
+               for e in rate_curve(default_geom, default_cfg, solved, (policy,), **RATE_KW)]
+    both = rate_curve(default_geom, default_cfg, solved, ("fixed", "optimal"), **RATE_KW)
+    assert [e.policy for e in both] == ["fixed"] * 2 + ["optimal"] * 2
+    assert both == singles
 
 
 def test_rate_worker_invariance(default_geom, default_cfg, solved):
-    a = rate_curve(default_geom, default_cfg, solved, "optimal", [25.0], 100_000,
+    a = rate_curve(default_geom, default_cfg, solved, ("optimal",), [25.0], 100_000,
                    seed=15, workers=1, block_size=25_000)
-    b = rate_curve(default_geom, default_cfg, solved, "optimal", [25.0], 100_000,
+    b = rate_curve(default_geom, default_cfg, solved, ("optimal",), [25.0], 100_000,
                    seed=15, workers=4, block_size=25_000)
     assert a == b

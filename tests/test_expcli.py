@@ -17,7 +17,8 @@ from curelay import (
     select_relay,
 )
 import curelay.analysis
-from curelay.expcli import ConfigError, _parse_grid
+import curelay.expcli
+from curelay.expcli import ConfigError, _parse_grid, main
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CFG = REPO / "configs" / "default.cfg"
@@ -247,9 +248,23 @@ def pools_started(tmp_path, monkeypatch, cmd, body):
     return len(started)
 
 
-def test_rate_starts_one_pool_per_policy(tmp_path, monkeypatch):
+def test_rate_starts_one_pool_per_run(tmp_path, monkeypatch):
     body = FAST_BODY.replace("trials = 20000", "trials = 100000")
-    assert pools_started(tmp_path, monkeypatch, "rate", body) == 2
+    assert pools_started(tmp_path, monkeypatch, "rate", body) == 1
+
+
+def test_rate_draws_each_block_once_for_both_policies(tmp_path, monkeypatch):
+    calls = []
+    sample = curelay.analysis.sample_fading
+
+    def counting_sample(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(curelay.analysis, "sample_fading", counting_sample)
+    body = FAST_BODY.replace("trials = 20000", "trials = 100000")
+    run_experiment("rate", load_config(write_cfg(tmp_path, body)), tmp_path / "r.csv")
+    assert len(calls) == 3  # one block of 1e5 draws per grid point
 
 
 def test_outage_starts_one_pool_per_command(tmp_path, monkeypatch):
@@ -299,6 +314,35 @@ def test_cli_overrides_and_run(tmp_path):
     assert any(m == "# seed = 5" for m in meta)
     assert [row[0] for row in rows] == ["10", "20"]
     assert rows[0][1] == "8" and rows[0][2] == "18"
+
+
+@pytest.mark.parametrize("cmd, body, flags, message", [
+    ("outage-bs", FAST_BODY, ["--workers", "0"], "--workers: workers must be an integer >= 1"),
+    ("outage-bs", FAST_BODY, ["--workers", "-1"], "--workers: workers must be an integer >= 1"),
+    ("outage-su", FAST_BODY, ["--trials", "0"], "--trials: trials must be an integer >= 1"),
+    ("water-level", FAST_BODY, ["--seed", "-1"], "--seed: seed must be an integer >= 0"),
+    ("outage-bs", FAST_BODY, ["--trials", "5000"], "trials must be >= 10000 for outage-bs"),
+    ("outage-su", FAST_BODY, ["--trials", "9999"], "trials must be >= 10000 for outage-su"),
+    ("rate", FAST_BODY, [], "trials must be >= 100000 for rate"),
+    ("rate", FAST_BODY, ["--trials", "99999"], "trials must be >= 100000 for rate"),
+    ("rate", FAST_BODY + "workers = 0\n", [], "line 7: workers must be an integer >= 1"),
+    ("rate", FAST_BODY + "workers = 1.5\n", [], "line 7: workers must be an integer >= 1"),
+    ("rate", FAST_BODY.replace("20000", "inf"), [], "line 4: trials must be an integer >= 1"),
+    ("rate", FAST_BODY.replace("20000", "nan"), [], "line 4: trials must be an integer >= 1"),
+], ids=["workers-0", "workers-negative", "trials-0", "seed-negative", "outage-bs-floor",
+        "outage-su-floor", "rate-floor-file", "rate-floor-flag", "file-workers-0",
+        "file-workers-fraction", "file-trials-inf", "file-trials-nan"])
+def test_cli_rejects_bad_counts_before_any_work(tmp_path, monkeypatch, capsys, cmd, body,
+                                                flags, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the counts were checked")
+
+    monkeypatch.setattr(curelay.expcli, "solve_water_level", no_solve)
+    out = tmp_path / "never.csv"
+    cfgp = write_cfg(tmp_path, body)
+    assert main([cmd, "--config", str(cfgp), "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [cfgp.name]
 
 
 # su1_x = 0.5, pu1_x = 0.75 and sin(angle) = -0.3125 put PU4 at equal
