@@ -7,7 +7,7 @@ Library layers:
 - power:      average-interference water-filling power allocation
 - relaying:   per-draw SIR computation plus a symbol-level oracle
 - analysis:   outage probabilities, bounds, closed forms, rate curves
-- expcli:     config parsing, relay selection, experiment CSV driver
+- expcli:     config parsing, experiment CSV driver
 """
 
 from .analysis import (
@@ -27,7 +27,6 @@ from .channels import (
     derive_etas,
     dist_gamma_ratio,
     dist_t,
-    dist_v1,
     dist_v3,
     sample_fading,
 )
@@ -55,18 +54,14 @@ from .power import (
 from .relaying import (
     SirSample,
     relay_gain,
-    relay_gain_noisy,
-    sinr_bs,
+    sinr_bs_combine,
     sir_sample,
     symbol_level_oracle,
 )
 from .expcli import (
     ExperimentConfig,
-    NodeInventory,
-    PuEntry,
     load_config,
     run_experiment,
-    select_relay,
 )
 
 __version__ = "0.1.0"

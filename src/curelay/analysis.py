@@ -237,17 +237,9 @@ def outage_bs_bounds(gamma_th: float, geom: ScenarioGeometry, cfg: PowerConfig,
     return combined(gamma_th), combined(2.0 * gamma_th)
 
 
-def _su_upper_cdf_scalar(x, e2, e3):
-    w = x * x / ((x + e2) * (x + e3))
-    if w <= 0.5:
-        hyp = gauss_2f1_near_unit(2, 2, 3, w)
-    else:
-        hyp = gauss_2f1(2, 2, 3, 1.0 - w)
-    pref = e2 * e3 * x * x / (2.0 * (x + e2) ** 2 * (x + e3) ** 2)
-    return 1.0 - pref * hyp
-
-
-def _su_upper_pdf_scalar(x, e2, e3):
+def _su_upper_scalar(x, e2, e3):
+    """(pdf, cdf) of the SU-side upper-bound SIR at one x > 0; both share w
+    and 2F1(2,2;3;1-w)."""
     w = x * x / ((x + e2) * (x + e3))
     if w <= 0.5:
         h223 = gauss_2f1_near_unit(2, 2, 3, w)
@@ -258,7 +250,8 @@ def _su_upper_pdf_scalar(x, e2, e3):
     da = (x + e2) * (x + e3)
     t1 = e2 * e3 * x * (x * x - e2 * e3) / da**3 * h223
     t2 = 2.0 * e2 * e3 * x**3 * (x * (e2 + e3) + 2.0 * e2 * e3) / (3.0 * da**4) * h334
-    return t1 + t2
+    pref = e2 * e3 * x * x / (2.0 * (x + e2) ** 2 * (x + e3) ** 2)
+    return t1 + t2, 1.0 - pref * h223
 
 
 def dist_su_upper(x, geom: ScenarioGeometry, cfg: PowerConfig):
@@ -274,11 +267,10 @@ def dist_su_upper(x, geom: ScenarioGeometry, cfg: PowerConfig):
     et = derive_etas(geom)
     e2 = et.eta2 * cfg.gamma_bar_lin
     e3 = et.eta3 * cfg.gamma_bar_lin
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    pdf = np.array([_su_upper_pdf_scalar(v, e2, e3) for v in flat]).reshape(np.atleast_1d(arr).shape)
-    cdf = np.array([_su_upper_cdf_scalar(v, e2, e3) for v in flat]).reshape(np.atleast_1d(arr).shape)
-    if scalar:
+    flat = np.atleast_1d(arr)
+    pairs = np.array([_su_upper_scalar(v, e2, e3) for v in flat.ravel()]).reshape(-1, 2)
+    pdf, cdf = (np.ascontiguousarray(col).reshape(flat.shape) for col in pairs.T)
+    if arr.ndim == 0:
         return float(pdf[0]), float(cdf[0])
     return pdf, cdf
 

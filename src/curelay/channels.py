@@ -28,7 +28,6 @@ __all__ = [
     "FadingRealization",
     "derive_etas",
     "sample_fading",
-    "dist_v1",
     "dist_v3",
     "dist_t",
     "dist_gamma_ratio",
@@ -95,7 +94,6 @@ class PowerConfig:
     p_cci_db: float
     w_db: float
     gamma_bar_db: float
-    sigma2: float = 1.0
 
     @property
     def p_cci_lin(self) -> float:
@@ -152,14 +150,6 @@ def _require_pos(x, op):
     if arr.size and not (arr > 0).all():
         raise ValueError(f"{op} requires x > 0")
     return arr
-
-
-def dist_v1(x):
-    """pdf/cdf of V1 = f2/g2 (ratio of equal-mean exponentials)."""
-    arr = _require_nonneg(x, "dist_v1")
-    pdf = (arr + 1.0) ** -2
-    cdf = arr / (arr + 1.0)
-    return pdf, cdf
 
 
 def dist_v3(x, geom: ScenarioGeometry):

@@ -1,9 +1,9 @@
-"""Scenario configuration, relay-selection policy, experiment orchestration,
-and CSV emission.
+"""Scenario configuration, experiment orchestration, and CSV emission.
 
 Config files are flat UTF-8 `key = value` lines with `#` comments. Node
 placement is given as coordinates (BS1 at the origin, BS2 on the x-axis);
-the pairwise distances feeding the analysis are recomputed at load time.
+the relay is the idle PU at `pu1_x`, and the pairwise distances feeding the
+analysis are recomputed at load time.
 CSV output is deterministic for a given (config, seed) and independent of
 the worker count.
 """
@@ -35,10 +35,7 @@ from .relaying import sinr_bs_combine, sir_sample, symbol_level_oracle
 
 __all__ = [
     "ConfigError",
-    "PuEntry",
-    "NodeInventory",
     "ExperimentConfig",
-    "select_relay",
     "load_config",
     "run_experiment",
     "main",
@@ -60,7 +57,6 @@ _DEFAULTS = {
     "sir_grid_db": "0:5:40",
     "trials": 1_000_000,
     "workers": 1,
-    "out": None,
 }
 
 _OUTAGE_COLUMNS = ("gamma_bar_db", "w_db", "cci_db", "gamma_th", "side", "p_out",
@@ -81,46 +77,6 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# relay selection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PuEntry:
-    position: tuple[float, float]
-    idle: bool
-    priority: int = 0
-
-    def __post_init__(self):
-        if self.priority < 0:
-            raise ValueError(f"priority must be >= 0, got {self.priority}")
-
-
-@dataclass(frozen=True)
-class NodeInventory:
-    su_position: tuple[float, float]
-    pu_entries: tuple[PuEntry, ...]
-
-
-def select_relay(inv: NodeInventory):
-    """Pick the idle PU nearest to the SU; ties break to the lowest index.
-
-    Returns the index into inv.pu_entries, or None (suspension: the SU must
-    wait for a non-empty idle candidate set).
-    """
-    best = None
-    best_dist = math.inf
-    for i, pu in enumerate(inv.pu_entries):
-        if not pu.idle:
-            continue
-        dist = math.hypot(pu.position[0] - inv.su_position[0],
-                          pu.position[1] - inv.su_position[1])
-        if dist < best_dist:
-            best, best_dist = i, dist
-    return best
-
-
-# ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
@@ -134,7 +90,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     workers: int
-    out: str | None
 
 
 def _parse_grid(text, key, line):
@@ -145,6 +100,8 @@ def _parse_grid(text, key, line):
         lo, step, hi = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"line {line}: {key} has non-numeric component in {text!r}") from None
+    for v in (lo, step, hi):
+        _check_finite(key, v, f"line {line}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"line {line}: {key} needs STEP > 0 and HI >= LO, got {text!r}")
     grid = tuple(float(v) for v in np.arange(lo, hi + step / 2.0, step))
@@ -175,6 +132,14 @@ def _geometry_from_placement(vals, lines):
         raise ConfigError(f"line {line}: invalid geometry: {exc}") from None
 
 
+def _check_finite(key, value, where):
+    """`value`, or ConfigError naming `key` and `where` it was given if it is
+    nan or infinite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {key} must be a finite number, got {value}")
+    return value
+
+
 def _check_int(key, value, where):
     """`value` as an int; ConfigError naming `key` and `where` it was given
     unless it is a whole number of at least _INT_MINIMA[key]."""
@@ -199,7 +164,7 @@ def _build_config(vals, lines):
               for key in _INT_MINIMA}
     return ExperimentConfig(
         geometry=geom, power=power, gamma_th=vals["gamma_th"],
-        sir_grid_db=grid, out=vals["out"], **counts,
+        sir_grid_db=grid, **counts,
     )
 
 
@@ -230,6 +195,8 @@ def load_config(path) -> ExperimentConfig:
                     vals[key] = float(value)
                 except ValueError:
                     raise ConfigError(f"line {lineno}: {key} must be numeric, got {value!r}") from None
+                if key not in _INT_MINIMA:
+                    _check_finite(key, vals[key], f"line {lineno}")
             else:
                 vals[key] = value
     return _build_config(vals, lines)
@@ -300,9 +267,7 @@ def _validation_rows(cfg: ExperimentConfig):
     worst = 0.0
     for x in (0.1, 1.0, 7.0, 50.0):
         def inner(y):
-            if et.c1 is None:
-                return (x / (x + y)) * dist_v3(y, geom)[0]
-            return (x / (x + y)) * et.c1 * (np.exp(-et.q_eps * y) - np.exp(-et.r_eps * y))
+            return (x / (x + y)) * dist_v3(y, geom)[0]
         ref = integrate(inner, 0.0, math.inf, tight).value
         _, cdf = dist_t(x, geom)
         worst = max(worst, abs(float(cdf) - ref) / ref)
@@ -399,9 +364,9 @@ def run_experiment(cmd: str, cfg: ExperimentConfig, out_path: str) -> int:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     power = cfg.power
     if args.w_db is not None:
-        power = replace(power, w_db=args.w_db)
+        power = replace(power, w_db=_check_finite("w_db", args.w_db, "--w-db"))
     if args.cci_db is not None:
-        power = replace(power, p_cci_db=args.cci_db)
+        power = replace(power, p_cci_db=_check_finite("cci_db", args.cci_db, "--cci-db"))
     updates = {"power": power}
     for key in _INT_MINIMA:
         value = getattr(args, key)

@@ -21,7 +21,6 @@ import numpy as np
 from .channels import FadingRealization, PowerConfig, ScenarioGeometry, derive_etas, dist_t
 from .mathkernel import (
     EULER_GAMMA,
-    NumericTolerance,
     QUAD_TOL,
     ROOT_TOL,
     integrate,
@@ -49,11 +48,9 @@ class WaterLevel:
 
     lam: float
     residual: float
-    method: str = "numeric-constraint"
 
 
-def constraint_lhs(lam: float, geom: ScenarioGeometry, cfg: PowerConfig,
-                   tol: NumericTolerance = QUAD_TOL) -> float:
+def constraint_lhs(lam: float, geom: ScenarioGeometry, cfg: PowerConfig) -> float:
     """E[(lam - eta4 P T)^+] = int_0^{lam/(eta4 P)} (lam - eta4 P x) f_T(x) dx."""
     if lam <= 0.0:
         return 0.0
@@ -64,11 +61,10 @@ def constraint_lhs(lam: float, geom: ScenarioGeometry, cfg: PowerConfig,
         pdf, _ = dist_t(x, geom)
         return (lam - b * x) * pdf
 
-    return integrate(integrand, 0.0, lam / b, tol).value
+    return integrate(integrand, 0.0, lam / b, QUAD_TOL).value
 
 
-def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig,
-                      tol: NumericTolerance = ROOT_TOL) -> WaterLevel:
+def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
     """Solve the average-interference equality for the water level."""
     w_lin = cfg.w_lin
     last = [None, None]  # the last (lam, g(lam)); the root finder ends on its root
@@ -78,7 +74,7 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig,
             last[:] = lam, constraint_lhs(lam, geom, cfg)
         return last[1]
 
-    lam = solve_root_monotone(g, w_lin, tol, lo=0.0,
+    lam = solve_root_monotone(g, w_lin, ROOT_TOL, lo=0.0,
                               ceiling=CEILING_FACTOR * w_lin, first_step=w_lin)
     return WaterLevel(lam=lam, residual=g(lam) - w_lin)
 

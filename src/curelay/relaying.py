@@ -22,12 +22,10 @@ from .power import optimal_power
 __all__ = [
     "SirSample",
     "relay_gain",
-    "relay_gain_noisy",
     "bs_sir",
     "check_gamma2_routes",
     "sir_sample",
     "sinr_bs_combine",
-    "sinr_bs",
     "symbol_level_oracle",
 ]
 
@@ -52,34 +50,18 @@ class SirSample:
     valid: np.ndarray
 
 
-def _relay_power(draw, geom, p_cci, p_su1):
-    """Power received at the relay: P s^-eps h2 + P_su1 l^-eps g2 + P r^-eps v2."""
-    e = geom.epsilon
-    return (p_cci * geom.s ** -e * np.asarray(draw.h2, dtype=float)
-            + np.asarray(p_su1, dtype=float) * geom.l ** -e * np.asarray(draw.g2, dtype=float)
-            + p_cci * geom.r ** -e * np.asarray(draw.v2, dtype=float))
-
-
 def relay_gain(draw: FadingRealization, geom: ScenarioGeometry, p_cci: float, p_su1):
     """Amplification gain beta = (P s^-eps h2 + P_su1 l^-eps g2 + P r^-eps v2)^(-1/2)."""
-    total = _relay_power(draw, geom, p_cci, p_su1)
+    e = geom.epsilon
+    total = (p_cci * geom.s ** -e * np.asarray(draw.h2, dtype=float)
+             + np.asarray(p_su1, dtype=float) * geom.l ** -e * np.asarray(draw.g2, dtype=float)
+             + p_cci * geom.r ** -e * np.asarray(draw.v2, dtype=float))
     if total.ndim == 0:
         if total == 0.0:
             raise ValueError("relay_gain: all received-power terms are zero (degenerate draw)")
         return float(total ** -0.5)
     with np.errstate(divide="ignore"):
         return total ** -0.5
-
-
-def relay_gain_noisy(draw: FadingRealization, geom: ScenarioGeometry, p_cci: float,
-                     p_su1, sigma2: float):
-    """Noise-aware variant: beta' = (... + sigma2)^(-1/2); beta' <= beta."""
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    total = _relay_power(draw, geom, p_cci, p_su1) + sigma2
-    with np.errstate(divide="ignore"):
-        out = total ** -0.5
-    return float(out) if out.ndim == 0 else out
 
 
 def _harmonic(num_a, num_b, den_b):
@@ -176,16 +158,6 @@ def sinr_bs_combine(gamma1, gamma2):
     out = np.where(np.isinf(gamma1) & np.isfinite(gamma2), gamma2, out)
     out = np.where(np.isinf(gamma1) & np.isinf(gamma2), np.inf, out)
     return out
-
-
-def sinr_bs(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
-            lam: float):
-    """Noise-aware combining at the base station: g1 g2/(g1 + g2 + 1).
-
-    Always below the interference-only SIR; the gap vanishes as g1*g2 grows.
-    """
-    s = sir_sample(draw, geom, cfg, lam)
-    return sinr_bs_combine(s.gamma1, s.gamma2)
 
 
 def _unit_symbols(rng, n):

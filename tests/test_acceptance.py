@@ -26,7 +26,7 @@ from curelay import (
     outage_mc,
     rate_curve,
     sample_fading,
-    sinr_bs,
+    sinr_bs_combine,
     sir_sample,
     solve_water_level,
     su_outage_closed_form,
@@ -249,7 +249,7 @@ def test_criterion_7_per_draw_invariants(scenario):
     rng = np.random.default_rng(71)
     d = sample_fading(rng, power, 10**6)
     s = sir_sample(d, geom, power, lam)
-    sinr = sinr_bs(d, geom, power, lam)
+    sinr = sinr_bs_combine(s.gamma1, s.gamma2)
     slack = 1e-13  # IEEE rounding of the closed-form expressions only
     fin = s.valid & np.isfinite(s.gamma1) & np.isfinite(s.gamma2)
     mn = np.minimum(s.gamma1[fin], s.gamma2[fin])

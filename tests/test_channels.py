@@ -14,7 +14,6 @@ from curelay import (
     derive_etas,
     dist_gamma_ratio,
     dist_t,
-    dist_v1,
     dist_v3,
     sample_fading,
 )
@@ -123,22 +122,22 @@ def test_sampler_u2_ks(default_cfg):
 
 
 def test_v1_point_values():
-    pdf0, _ = dist_v1(0.0)
-    _, cdf1 = dist_v1(1.0)
+    pdf0, _ = dist_gamma_ratio(0.0, 1.0, 1.0)
+    _, cdf1 = dist_gamma_ratio(1.0, 1.0, 1.0)
     assert pdf0 == 1.0
     assert cdf1 == 0.5
 
 
 def test_v1_domain():
     with pytest.raises(ValueError):
-        dist_v1(-0.1)
+        dist_gamma_ratio(-0.1, 1.0, 1.0)
 
 
 def test_v1_mc_ks(default_cfg):
     rng = np.random.default_rng(5)
     d = sample_fading(rng, default_cfg, 10**6)
     v1 = np.sort(d.f2 / d.g2)
-    _, cdf = dist_v1(v1)
+    _, cdf = dist_gamma_ratio(v1, 1.0, 1.0)
     assert ks_statistic(v1, cdf) < KS_1PCT_1E6
 
 
@@ -304,7 +303,7 @@ def test_gamma_ratio_pdf_cdf_consistency(default_etas, default_cfg):
 
 def test_v1_pdf_integrates_to_one():
     def f(x):
-        pdf, _ = dist_v1(x)
+        pdf, _ = dist_gamma_ratio(x, 1.0, 1.0)
         return pdf
 
     total = integrate(f, 0.0, math.inf, NumericTolerance(1e-9, 1e-13, 4000)).value
@@ -322,7 +321,7 @@ def test_v3_pdf_integrates_to_one(default_geom):
 
 def test_all_cdfs_monotone_on_log_grid(default_geom, default_cfg, default_etas):
     xs = np.geomspace(1e-6, 1e9, 140)
-    for cdf in (dist_v1(xs)[1], dist_v3(xs, default_geom)[1],
+    for cdf in (dist_gamma_ratio(xs, 1.0, 1.0)[1], dist_v3(xs, default_geom)[1],
                 dist_gamma_ratio(xs, default_etas.eta1, default_cfg.gamma_bar_lin)[1]):
         assert (np.diff(cdf) >= 0).all()
         assert cdf[0] < 1e-4 and cdf[-1] > 1.0 - 1e-3

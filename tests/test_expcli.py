@@ -1,4 +1,4 @@
-"""Config parsing, relay selection, CSV determinism, and CLI exit codes."""
+"""Config parsing, CSV determinism, and CLI exit codes."""
 
 import hashlib
 import math
@@ -9,13 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from curelay import (
-    NodeInventory,
-    PuEntry,
-    load_config,
-    run_experiment,
-    select_relay,
-)
+from curelay import load_config, run_experiment
 import curelay.analysis
 import curelay.expcli
 from curelay.expcli import ConfigError, _parse_grid, main
@@ -40,53 +34,6 @@ seed = 99
 
 
 # ---------------------------------------------------------------------------
-# relay selection
-# ---------------------------------------------------------------------------
-
-
-def test_select_single_idle():
-    inv = NodeInventory(su_position=(0.0, 0.0),
-                        pu_entries=(PuEntry((1.0, 0.0), idle=True),))
-    assert select_relay(inv) == 0
-
-
-def test_select_nearest():
-    inv = NodeInventory(su_position=(0.0, 0.0), pu_entries=(
-        PuEntry((0.3, 0.0), idle=True),
-        PuEntry((0.25, 0.0), idle=True),
-        PuEntry((0.01, 0.0), idle=False),
-    ))
-    assert select_relay(inv) == 1
-
-
-def test_select_suspension():
-    inv = NodeInventory(su_position=(0.0, 0.0), pu_entries=(
-        PuEntry((0.3, 0.0), idle=False),
-        PuEntry((0.25, 0.0), idle=False),
-    ))
-    assert select_relay(inv) is None
-    assert select_relay(NodeInventory((0.0, 0.0), ())) is None
-
-
-def test_select_tie_breaks_to_lowest_index():
-    inv = NodeInventory(su_position=(0.0, 0.0), pu_entries=(
-        PuEntry((0.0, 0.5), idle=True),
-        PuEntry((0.5, 0.0), idle=True),
-    ))
-    assert select_relay(inv) == 0
-
-
-def test_select_permutation_stability():
-    pus = [PuEntry((0.4, 0.0), idle=True), PuEntry((0.0, 0.2), idle=True),
-           PuEntry((0.1, 0.1), idle=False), PuEntry((0.0, 0.3), idle=True)]
-    base = select_relay(NodeInventory((0.0, 0.0), tuple(pus)))
-    assert base == 1
-    perm = [pus[3], pus[1], pus[0], pus[2]]
-    # nearest is unique here, so any ordering selects the same node
-    assert perm[select_relay(NodeInventory((0.0, 0.0), tuple(perm)))] == pus[base]
-
-
-# ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
 
@@ -102,7 +49,6 @@ def test_default_config_documented_values():
     assert cfg.geometry.epsilon == 4.0
     assert cfg.power.w_db == 5.0
     assert cfg.power.p_cci_db == 20.0
-    assert cfg.power.sigma2 == 1.0
     assert cfg.gamma_th == 3.0
     assert cfg.sir_grid_db == tuple(float(v) for v in range(0, 45, 5))
     assert cfg.trials == 10**6
@@ -134,6 +80,16 @@ def test_config_rejects_duplicates_and_junk(tmp_path):
         load_config(write_cfg(tmp_path, "seed: 1\n"))
     with pytest.raises(ConfigError, match="numeric"):
         load_config(write_cfg(tmp_path, "seed = soon\n"))
+
+
+def test_config_rejects_out_key(tmp_path, capsys):
+    # the output path is only ever given by --out
+    cfgp = write_cfg(tmp_path, "seed = 1\nout = x.csv\n")
+    with pytest.raises(ConfigError, match="line 2: unknown key 'out'"):
+        load_config(cfgp)
+    assert main(["water-level", "--config", str(cfgp), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "unknown key 'out'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [cfgp.name]
 
 
 def test_grid_parsing():
@@ -329,9 +285,23 @@ def test_cli_overrides_and_run(tmp_path):
     ("rate", FAST_BODY + "workers = 1.5\n", [], "line 7: workers must be an integer >= 1"),
     ("rate", FAST_BODY.replace("20000", "inf"), [], "line 4: trials must be an integer >= 1"),
     ("rate", FAST_BODY.replace("20000", "nan"), [], "line 4: trials must be an integer >= 1"),
+    ("water-level", FAST_BODY, ["--w-db", "inf"], "--w-db: w_db must be a finite number, got inf"),
+    ("water-level", FAST_BODY, ["--w-db", "nan"], "--w-db: w_db must be a finite number, got nan"),
+    ("outage-bs", FAST_BODY, ["--cci-db=-inf"], "--cci-db: cci_db must be a finite number, got -inf"),
+    ("rate", FAST_BODY, ["--sir-db", "0:5:inf"], "--sir-db must be a finite number, got inf"),
+    ("water-level", FAST_BODY + "epsilon = inf\n", [],
+     "line 7: epsilon must be a finite number, got inf"),
+    ("outage-su", FAST_BODY.replace("w_db = 10.0", "w_db = nan"), [],
+     "line 2: w_db must be a finite number, got nan"),
+    ("outage-su", FAST_BODY + "gamma_th = -inf\n", [],
+     "line 7: gamma_th must be a finite number, got -inf"),
+    ("outage-bs", FAST_BODY.replace("0:20:40", "nan:20:40"), [],
+     "line 5: sir_grid_db must be a finite number, got nan"),
 ], ids=["workers-0", "workers-negative", "trials-0", "seed-negative", "outage-bs-floor",
         "outage-su-floor", "rate-floor-file", "rate-floor-flag", "file-workers-0",
-        "file-workers-fraction", "file-trials-inf", "file-trials-nan"])
+        "file-workers-fraction", "file-trials-inf", "file-trials-nan", "flag-w-inf",
+        "flag-w-nan", "flag-cci-neg-inf", "flag-grid-inf", "file-epsilon-inf", "file-w-nan",
+        "file-gamma-th-neg-inf", "file-grid-nan"])
 def test_cli_rejects_bad_counts_before_any_work(tmp_path, monkeypatch, capsys, cmd, body,
                                                 flags, message):
     def no_solve(*args, **kwargs):

@@ -1,12 +1,15 @@
-"""Bit-level regression values for the water-level route.
+"""Bit-level regression values for the water-level route and the SU-side
+upper-bound law.
 
-Every value below was recorded from the plain per-panel, full-array
-implementation of the quadrature and of Psi(1,1,x). Any faster evaluation
-must reproduce them exactly: a speedup that moves a bit of lambda moves the
-CSV headers too.
+Every water-level value below was recorded from the plain per-panel,
+full-array implementation of the quadrature and of Psi(1,1,x); the
+`dist_su_upper` digests from its separate pdf and cdf loops. Any faster or
+smaller evaluation must reproduce them exactly: a speedup that moves a bit
+of lambda moves the CSV headers too.
 """
 
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 import curelay.power as power
-from curelay import dist_t, load_config, solve_water_level, tricomi_psi11
+from curelay import dist_su_upper, dist_t, load_config, solve_water_level, tricomi_psi11
 from curelay.mathkernel import IntegrationError
 
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -38,10 +41,45 @@ PSI_DIGESTS = {
     1000: "f28fb959ebc2b140d744a11eaf74ab975198fb2449beb76cb8187faa7feea2e4",
 }
 
+# SHA-256 of the pdf and cdf bytes of dist_su_upper(np.geomspace(1e-3, 1e5, 1000))
+# per (placement, gamma_bar dB); "equal_qr" puts PU4 at equal distance from
+# BS1 and PU1 (q == r)
+SU_UPPER_DIGESTS = {
+    ("default", 0.0): ("17f309a724cf567c80b7aa786d54c73763b9c5de4e16ad58b45ea48231ed6584",
+                       "b7b82145a6fa711a438f048b79b8b779777de1fdfe339dff5c421e520a22d798"),
+    ("default", 20.0): ("e6964b1fcab52ae7811d38a7d3e70a2d5282a839d6a030fc3c81861a05b89303",
+                        "08f97a9321d2d5d1aaf8cf0b2dcfe243f37385a0f53111809529f8aa8044e091"),
+    ("default", 40.0): ("9f7755fbad494d4afb3afa99a2d36d2cb685c609c126ed222a24ab17e54ba39c",
+                        "f4714d6c75e409178ffc21f727284d00e0ee6d4d633ab5f15dd62e1682799197"),
+    ("equal_qr", 0.0): ("cdf4beb740eae4ef681b2d47177fd679c60b99430d2e17385e2c9ce3faaac1c5",
+                        "ff7eb750b8dbaed428504529b7528ab6f35814cb8668f916e207160931618ce0"),
+    ("equal_qr", 20.0): ("d187abf6cc5e777679e46cdcf0cca09bd0ef323fb622cf0d34290659e0e3bbc9",
+                         "93d1415e2f7d8e6d5c161c18c5724a3d99935155c97c0c83dbbf543e5baba771"),
+    ("equal_qr", 40.0): ("1abbcb01187947accb11df79c04bf5838d9c21307ae3171dd27ba157969bceaf",
+                         "ecb134fda3200b0df505217fc3b8bc8a6e72e2d0152c7018bd038dca8ebb9db9"),
+}
+EQUAL_QR_BODY = f"""
+w_db = 10.0
+cci_db = 20.0
+seed = 99
+su1_x = 0.5
+pu1_x = 0.75
+pu4_angle_deg = {math.degrees(math.asin(-0.3125))!r}
+"""
+
 
 @pytest.fixture(scope="module")
 def cfg():
     return load_config(DEFAULT_CFG)
+
+
+@pytest.fixture(scope="module")
+def placements(cfg, tmp_path_factory):
+    path = tmp_path_factory.mktemp("equal_qr") / "case.cfg"
+    path.write_text(EQUAL_QR_BODY, encoding="utf-8")
+    equal_qr = load_config(path)
+    assert equal_qr.geometry.q == equal_qr.geometry.r
+    return {"default": cfg, "equal_qr": equal_qr}
 
 
 def _power(cfg, point):
@@ -117,3 +155,23 @@ def test_solve_integrates_once_per_evaluation(cfg, monkeypatch):
     level = solve_water_level(cfg.geometry, cfg.power)
     assert len(results) == 36
     assert level.residual == results[-1].value - cfg.power.w_lin
+
+
+@pytest.mark.parametrize("key", list(SU_UPPER_DIGESTS), ids=str)
+def test_su_upper_bits(placements, key):
+    placement, gbar_db = key
+    c = placements[placement]
+    pdf, cdf = dist_su_upper(np.geomspace(1e-3, 1e5, 1000), c.geometry,
+                             replace(c.power, gamma_bar_db=gbar_db))
+    assert (hashlib.sha256(pdf.tobytes()).hexdigest(),
+            hashlib.sha256(cdf.tobytes()).hexdigest()) == SU_UPPER_DIGESTS[key]
+
+
+def test_su_upper_scalar_returns_floats(cfg):
+    xs = np.geomspace(1e-3, 1e5, 25)
+    pdf, cdf = dist_su_upper(xs, cfg.geometry, cfg.power)
+    for x, p, c in zip(xs, pdf, cdf):
+        out = dist_su_upper(float(x), cfg.geometry, cfg.power)
+        assert isinstance(out, tuple) and len(out) == 2
+        assert all(type(v) is float for v in out)
+        assert (out[0].hex(), out[1].hex()) == (float(p).hex(), float(c).hex())

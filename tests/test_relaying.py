@@ -10,9 +10,8 @@ from curelay import (
     PowerConfig,
     derive_etas,
     relay_gain,
-    relay_gain_noisy,
     sample_fading,
-    sinr_bs,
+    sinr_bs_combine,
     sir_sample,
     solve_water_level,
     symbol_level_oracle,
@@ -77,25 +76,6 @@ def test_relay_gain_degenerate(default_geom, default_cfg):
     with pytest.raises(ValueError):
         relay_gain(make_draw(h2=0.0, g2=0.0, v2=0.0), default_geom,
                    default_cfg.p_cci_lin, 0.0)
-
-
-def test_relay_gain_noisy(default_geom, default_cfg):
-    d = make_draw()
-    p = default_cfg.p_cci_lin
-    assert relay_gain_noisy(d, default_geom, p, 1.0, 0.0) == relay_gain(d, default_geom, p, 1.0)
-    # engineered total power 3 plus unit noise -> 1/2
-    e = default_geom.epsilon
-    g2 = 3.0 / (default_geom.l ** -e)
-    d0 = make_draw(h2=0.0, v2=0.0, g2=g2)
-    assert relay_gain_noisy(d0, default_geom, p, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_relay_gain_noisy_strictly_below(default_geom, default_cfg):
-    rng = np.random.default_rng(9)
-    d = sample_fading(rng, default_cfg, 10**5)
-    p = default_cfg.p_cci_lin
-    assert (relay_gain_noisy(d, default_geom, p, 1.0, 1.0)
-            < relay_gain(d, default_geom, p, 1.0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +181,12 @@ def test_distribution_invariance_under_common_scaling(default_geom):
 def test_sinr_point_values(default_geom, default_cfg):
     draw, lam = engineered_gamma12(default_geom, default_cfg, 1.0, 1.0)
     s = sir_sample(draw, default_geom, default_cfg, lam)
-    v = sinr_bs(draw, default_geom, default_cfg, lam)
+    v = sinr_bs_combine(s.gamma1, s.gamma2)
     assert s.gamma_bs1[0] == pytest.approx(0.5, rel=1e-12)
     assert v[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
     draw, lam = engineered_gamma12(default_geom, default_cfg, 100.0, 100.0)
     s = sir_sample(draw, default_geom, default_cfg, lam)
-    v = sinr_bs(draw, default_geom, default_cfg, lam)
+    v = sinr_bs_combine(s.gamma1, s.gamma2)
     assert v[0] / s.gamma_bs1[0] > 0.99
 
 
@@ -215,7 +195,7 @@ def test_sinr_never_exceeds_sir(default_geom, default_cfg):
     rng = np.random.default_rng(37)
     d = sample_fading(rng, default_cfg, 10**5)
     s = sir_sample(d, default_geom, default_cfg, level.lam)
-    v = sinr_bs(d, default_geom, default_cfg, level.lam)
+    v = sinr_bs_combine(s.gamma1, s.gamma2)
     fin = s.valid & np.isfinite(s.gamma_bs1)
     assert (v[fin] <= s.gamma_bs1[fin]).all()
 
