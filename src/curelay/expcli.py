@@ -92,21 +92,21 @@ class ExperimentConfig:
     workers: int
 
 
-def _parse_grid(text, key, line):
+def _parse_grid(text, key, where):
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"line {line}: {key} must be LO:STEP:HI, got {text!r}")
+        raise ConfigError(f"{where}: {key} must be LO:STEP:HI, got {text!r}")
     try:
         lo, step, hi = (float(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"line {line}: {key} has non-numeric component in {text!r}") from None
+        raise ConfigError(f"{where}: {key} has non-numeric component in {text!r}") from None
     for v in (lo, step, hi):
-        _check_finite(key, v, f"line {line}")
+        _check_finite(key, v, where)
     if step <= 0 or hi < lo:
-        raise ConfigError(f"line {line}: {key} needs STEP > 0 and HI >= LO, got {text!r}")
+        raise ConfigError(f"{where}: {key} needs STEP > 0 and HI >= LO, got {text!r}")
     grid = tuple(float(v) for v in np.arange(lo, hi + step / 2.0, step))
     if not grid:
-        raise ConfigError(f"line {line}: {key} produced an empty grid")
+        raise ConfigError(f"{where}: {key} produced an empty grid")
     return grid
 
 
@@ -157,7 +157,7 @@ def _build_config(vals, lines):
                         gamma_bar_db=vals["gamma_bar_db"])
     grid = vals["sir_grid_db"]
     if isinstance(grid, str):
-        grid = _parse_grid(grid, "sir_grid_db", lines.get("sir_grid_db", "?"))
+        grid = _parse_grid(grid, "sir_grid_db", f"line {lines.get('sir_grid_db', '?')}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sir_grid_db must be strictly increasing")
     counts = {key: _check_int(key, vals[key], f"line {lines.get(key, '?')}")
@@ -373,7 +373,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         if value is not None:
             updates[key] = _check_int(key, value, f"--{key}")
     if args.sir_db is not None:
-        updates["sir_grid_db"] = _parse_grid(args.sir_db, "--sir-db", "cli")
+        updates["sir_grid_db"] = _parse_grid(args.sir_db, "sir_grid_db", "--sir-db")
     return replace(cfg, **updates)
 
 

@@ -11,6 +11,7 @@ integrand once per split, on the abscissae of both new panels.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -202,8 +203,10 @@ def tricomi_psi11(x):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _digamma_int(n):
-    """psi(n) for integer n >= 1: -gamma + H_{n-1}."""
+    """psi(n) for integer n >= 1: -gamma + H_{n-1}. Memoised: the 2F1
+    log-case series asks for the same few hundred n at every point."""
     return -EULER_GAMMA + sum(1.0 / k for k in range(1, n))
 
 

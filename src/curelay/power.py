@@ -6,7 +6,10 @@ The water level lam solves
 
 evaluated by adaptive quadrature against the analytic T density and solved
 by bracketing bisection (the left side is continuous and nondecreasing in
-lam). The per-draw optimal transmit power is then
+lam). Bisection steps far from the root are steered by the closed-form
+reduction of the same expectation while it matches the quadrature; every
+step near the root, and the returned lam and residual, use the quadrature.
+The per-draw optimal transmit power is then
 
     P_su1 = max(0, lam/(d^-eps f2) - P (q^-eps u2 + r^-eps v2)/(l^-eps g2)).
 """
@@ -40,6 +43,11 @@ __all__ = [
 
 # search ceiling: far beyond any physical water level at tested configurations
 CEILING_FACTOR = 1e6
+# how many times the quadrature and root tolerances a closed-form value must
+# lie from the target to decide a bisection step without quadrature; the
+# screen runs only while the closed form agrees with the quadrature to within
+# one tolerance, so a screened step's sign has this much headroom
+_SCREEN_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -65,14 +73,41 @@ def constraint_lhs(lam: float, geom: ScenarioGeometry, cfg: PowerConfig) -> floa
 
 
 def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
-    """Solve the average-interference equality for the water level."""
+    """Solve the average-interference equality for the water level.
+
+    Below the largest lam integrated so far, a bisection step whose closed
+    form lies more than _SCREEN_MARGIN tolerances from the target is decided
+    by the closed form alone. Such a value never passes the root finder's
+    stop test, so the returned lam and its residual are the quadrature's, as
+    without the screen. The screen stays on only while the closed form has
+    matched every quadrature of the solve to within one tolerance: near
+    q == r and at very small lam/(eta4 P) it cancels, and the solve then
+    integrates every step. Bracketing steps lie above every lam integrated
+    before them, so a quadrature failure there is raised as before.
+    """
     w_lin = cfg.w_lin
-    last = [None, None]  # the last (lam, g(lam)); the root finder ends on its root
+    resid_tol = ROOT_TOL.rel_tol * max(1.0, w_lin)
+    last = (None, None)  # the last (lam, quadrature); the root finder ends on its root
+    top = 0.0  # the largest lam integrated
+    screen = True
+
+    def tol(value):
+        return QUAD_TOL.rel_tol * abs(value) + resid_tol
 
     def g(lam):
-        if last[0] != lam:
-            last[:] = lam, constraint_lhs(lam, geom, cfg)
-        return last[1]
+        nonlocal last, top, screen
+        if lam == last[0]:
+            return last[1]
+        c = None
+        if screen and lam > 0.0:
+            c = _closed_form_value(lam, geom, cfg, gamma_scaled=False)
+            if lam < top and abs(c - w_lin) > _SCREEN_MARGIN * tol(c):
+                return c
+        value = constraint_lhs(lam, geom, cfg)
+        if c is not None:
+            screen = abs(value - c) <= tol(c)
+        last, top = (lam, value), max(top, lam)
+        return value
 
     lam = solve_root_monotone(g, w_lin, ROOT_TOL, lo=0.0,
                               ceiling=CEILING_FACTOR * w_lin, first_step=w_lin)

@@ -288,7 +288,8 @@ def test_cli_overrides_and_run(tmp_path):
     ("water-level", FAST_BODY, ["--w-db", "inf"], "--w-db: w_db must be a finite number, got inf"),
     ("water-level", FAST_BODY, ["--w-db", "nan"], "--w-db: w_db must be a finite number, got nan"),
     ("outage-bs", FAST_BODY, ["--cci-db=-inf"], "--cci-db: cci_db must be a finite number, got -inf"),
-    ("rate", FAST_BODY, ["--sir-db", "0:5:inf"], "--sir-db must be a finite number, got inf"),
+    ("rate", FAST_BODY, ["--sir-db", "0:5:inf"],
+     "--sir-db: sir_grid_db must be a finite number, got inf"),
     ("water-level", FAST_BODY + "epsilon = inf\n", [],
      "line 7: epsilon must be a finite number, got inf"),
     ("outage-su", FAST_BODY.replace("w_db = 10.0", "w_db = nan"), [],

@@ -3,7 +3,8 @@ upper-bound law.
 
 Every water-level value below was recorded from the plain per-panel,
 full-array implementation of the quadrature and of Psi(1,1,x); the
-`dist_su_upper` digests from its separate pdf and cdf loops. Any faster or
+`dist_su_upper` digests from its separate pdf and cdf loops; the solve
+outcomes from the bisection that integrated at every step. Any faster or
 smaller evaluation must reproduce them exactly: a speedup that moves a bit
 of lambda moves the CSV headers too.
 """
@@ -18,7 +19,7 @@ import pytest
 
 import curelay.power as power
 from curelay import dist_su_upper, dist_t, load_config, solve_water_level, tricomi_psi11
-from curelay.mathkernel import IntegrationError
+from curelay.mathkernel import QUAD_TOL, ROOT_TOL, IntegrationError
 
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
 
@@ -32,6 +33,36 @@ WATER_LEVELS = {
     (30.0, -5.0): ("0x1.f4114c71a4000p+9", "0x1.41b9800000000p-24"),
     (40.0, -15.0): ("0x1.3880275bd6100p+13", "0x1.1578000000000p-22"),
     (60.0, -3.0): ("0x1.e8480ae48b300p+19", "-0x1.5402000000000p-16"),
+}
+
+# (W dB, CCI dB) -> the solve's (lam, residual) as float.hex, or its exception
+# class and message; None is the q == r placement's own (10, 20). The points
+# are the perfbench analytic_grid points of seeds 500 and 501, one in each
+# band of d = W - CCI, and the seed-522 band-4 point where the bisection
+# stalls. The corner points (d >= 66 dB) fail in the quadrature at the first
+# bracketing step, lam = W.
+SOLVE_OUTCOMES = {
+    (-7.66940342457441, 35.48663281482445): ("0x1.0d0234a49c83ap+2", "0x1.569b000000000p-35"),
+    (40.661548485970066, 31.367585657205787): ("0x1.7458445326666p+13",
+                                               "-0x1.ee96800000000p-21"),
+    (18.568041177904675, -8.59240456637292): ("0x1.1fd8dccddfc9ep+6", "-0x1.cb75800000000p-28"),
+    (32.84867662147429, -23.958438552320708): ("0x1.e1bc2b893db9ap+10", "0x1.8891000000000p-24"),
+    (31.98877194666931, -29.36277010993576): ("0x1.8b334fc378460p+10", "0x1.961c800000000p-25"),
+    (52.947025013698905, -24.167872381212547): (
+        "IntegrationError", "quadrature did not converge within 2000 subdivisions (partial "
+        "estimate 197107.20307123172, error bound 0.010557473967639999)"),
+    (-5.930637038842664, 52.787141831666176): ("0x1.137e7bf7e6aa4p+5", "0x1.0033000000000p-34"),
+    (56.245073046451125, 38.13622518829151): ("0x1.9d189ccae42b1p+18", "-0x1.1b94000000000p-18"),
+    (32.02891103519568, 10.818286668397437): ("0x1.8fc8e1ec8f452p+10", "-0x1.8567000000000p-26"),
+    (44.13302958574275, -15.27872218454322): ("0x1.94b0d6beba91ep+14", "0x1.24a2000000000p-22"),
+    (43.3303066408995, -16.903971506605373): ("0x1.5065672e9a72ap+14", "0x1.fd8b800000000p-20"),
+    (55.064576861800454, -29.519956996043796): (
+        "IntegrationError", "quadrature did not converge within 2000 subdivisions (partial "
+        "estimate 320965.0065830795, error bound 0.08992579112117952)"),
+    (39.73583632597491, -23.993417468946063): (
+        "BracketError", "bisection stalled: x=9409.872932077156, residual "
+        "4.952276867697947e-06 exceeds 9.409870195635385e-07"),
+    None: ("0x1.b537ddb4c0000p+3", "-0x1.057cc00000000p-30"),
 }
 
 # SHA-256 of tricomi_psi11(np.geomspace(1e-3, 1e6, n)).tobytes()
@@ -89,6 +120,31 @@ def _power(cfg, point):
     return replace(cfg.power, w_db=w, p_cci_db=cci)
 
 
+@pytest.fixture(scope="module")
+def solved(cfg, placements):
+    """Each SOLVE_OUTCOMES point's outcome, and every (lam, value, geometry,
+    power) the solves passed through power.constraint_lhs."""
+    outcomes, quadratures = {}, []
+    inner = power.constraint_lhs
+
+    def recording(lam, geom, pw):
+        value = inner(lam, geom, pw)
+        quadratures.append((lam, value, geom, pw))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(power, "constraint_lhs", recording)
+        for point in SOLVE_OUTCOMES:
+            c = placements["equal_qr"] if point is None else cfg
+            try:
+                level = solve_water_level(c.geometry, _power(c, point))
+            except Exception as exc:  # noqa: BLE001 - the failures are pinned too
+                outcomes[point] = (type(exc).__name__, str(exc))
+            else:
+                outcomes[point] = (level.lam.hex(), level.residual.hex())
+    return outcomes, quadratures
+
+
 def _recording_integrate(monkeypatch):
     """Route power.integrate through a wrapper that keeps every result."""
     results = []
@@ -106,6 +162,41 @@ def _recording_integrate(monkeypatch):
 def test_water_level_bits(cfg, point):
     level = solve_water_level(cfg.geometry, _power(cfg, point))
     assert (level.lam.hex(), level.residual.hex()) == WATER_LEVELS[point]
+
+
+@pytest.mark.parametrize("point", list(SOLVE_OUTCOMES), ids=str)
+def test_solve_outcome_bits(solved, point):
+    outcomes, _ = solved
+    assert outcomes[point] == SOLVE_OUTCOMES[point]
+
+
+def test_closed_form_screen_headroom(solved):
+    # the closed form decides a bisection step only when it lies more than
+    # _SCREEN_MARGIN tolerances from the target, and only while it has
+    # matched every quadrature to within one tolerance (0.01 of the margin);
+    # at every frozen point it must stay that close wherever the quadrature ran
+    _, quadratures = solved
+    gaps = []
+    for lam, value, geom, pw in quadratures:
+        if lam > 0.0:
+            c = power._closed_form_value(lam, geom, pw, gamma_scaled=False)
+            resid_tol = ROOT_TOL.rel_tol * max(1.0, pw.w_lin)
+            margin = power._SCREEN_MARGIN * (QUAD_TOL.rel_tol * abs(c) + resid_tol)
+            gaps.append(abs(value - c) / margin)
+    assert len(gaps) > 100
+    assert max(gaps) <= 0.01
+
+
+def test_screen_stays_off_where_the_closed_form_cancels(cfg, monkeypatch):
+    # PU4 a relative 1e-8 from equidistant: the q != r closed form cancels and
+    # misses the quadrature by more than the screen's margin at this point, so
+    # the solve integrates every step, as the plain bisection did
+    geom = replace(cfg.geometry, q=0.8, r=0.8 * (1.0 + 1e-8))
+    results = _recording_integrate(monkeypatch)
+    level = solve_water_level(geom, _power(cfg, (-10.0, 40.0)))
+    assert (level.lam.hex(), level.residual.hex()) == (
+        "0x1.25a1887333333p+2", "-0x1.a8e8800000000p-38")
+    assert len(results) == 36
 
 
 @pytest.mark.parametrize("n", sorted(PSI_DIGESTS))
@@ -153,7 +244,7 @@ def test_solve_integrates_once_per_evaluation(cfg, monkeypatch):
     # the residual reuses the root finder's last evaluation of the constraint
     results = _recording_integrate(monkeypatch)
     level = solve_water_level(cfg.geometry, cfg.power)
-    assert len(results) == 36
+    assert len(results) == 16
     assert level.residual == results[-1].value - cfg.power.w_lin
 
 
