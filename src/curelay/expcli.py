@@ -3,7 +3,8 @@
 Config files are flat UTF-8 `key = value` lines with `#` comments. Node
 placement is given as coordinates (BS1 at the origin, BS2 on the x-axis);
 the relay is the idle PU at `pu1_x`, and the pairwise distances feeding the
-analysis are recomputed at load time.
+analysis are recomputed at load time. Command-line flags are merged into the
+file's keys and pass the same checks.
 CSV output is deterministic for a given (config, seed) and independent of
 the worker count.
 """
@@ -14,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +44,21 @@ __all__ = [
 
 SUBCOMMANDS = ("outage-bs", "outage-su", "rate", "water-level", "validate")
 
+# the value of each key the file leaves out, as text like the file's own
 _DEFAULTS = {
-    "bs2_x": 2.0,
-    "su1_x": 1.0,
-    "pu1_x": 0.75,
-    "pu4_offset": 0.4,
-    "pu4_angle_deg": 30.0,
-    "epsilon": 4.0,
-    "w_db": 5.0,
-    "cci_db": 20.0,
-    "gamma_bar_db": 30.0,
-    "gamma_th": 3.0,
+    "bs2_x": "2.0",
+    "su1_x": "1.0",
+    "pu1_x": "0.75",
+    "pu4_offset": "0.4",
+    "pu4_angle_deg": "30.0",
+    "epsilon": "4.0",
+    "w_db": "5.0",
+    "cci_db": "20.0",
+    "gamma_bar_db": "30.0",
+    "gamma_th": "3.0",
     "sir_grid_db": "0:5:40",
-    "trials": 1_000_000,
-    "workers": 1,
+    "trials": "1000000",
+    "workers": "1",
 }
 
 _OUTAGE_COLUMNS = ("gamma_bar_db", "w_db", "cci_db", "gamma_th", "side", "p_out",
@@ -70,6 +72,10 @@ _VALIDATE_COLUMNS = ("check", "status", "value", "threshold")
 _INT_MINIMA = {"trials": 1, "seed": 0, "workers": 1}
 _TRIAL_FLOORS = {"outage-bs": OUTAGE_MIN_TRIALS, "outage-su": OUTAGE_MIN_TRIALS,
                  "rate": RATE_MIN_TRIALS}
+_MAX_GRID_POINTS = 10_000
+# each command-line flag and the config key it overrides
+_FLAGS = {"--w-db": "w_db", "--cci-db": "cci_db", "--sir-db": "sir_grid_db",
+          "--trials": "trials", "--seed": "seed", "--workers": "workers"}
 
 
 class ConfigError(ValueError):
@@ -104,13 +110,18 @@ def _parse_grid(text, key, where):
         _check_finite(key, v, where)
     if step <= 0 or hi < lo:
         raise ConfigError(f"{where}: {key} needs STEP > 0 and HI >= LO, got {text!r}")
+    # np.arange's own point count, taken before it allocates
+    if (hi + step / 2.0 - lo) / step > _MAX_GRID_POINTS:
+        raise ConfigError(f"{where}: {key} has more than {_MAX_GRID_POINTS} points, got {text!r}")
     grid = tuple(float(v) for v in np.arange(lo, hi + step / 2.0, step))
     if not grid:
         raise ConfigError(f"{where}: {key} produced an empty grid")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{where}: {key} must be strictly increasing, got {text!r}")
     return grid
 
 
-def _geometry_from_placement(vals, lines):
+def _geometry_from_placement(vals, where):
     su1_x = vals["su1_x"]
     pu1_x = vals["pu1_x"]
     bs2_x = vals["bs2_x"]
@@ -128,8 +139,7 @@ def _geometry_from_placement(vals, lines):
             epsilon=vals["epsilon"],
         )
     except ValueError as exc:
-        line = lines.get("epsilon", lines.get("su1_x", "?"))
-        raise ConfigError(f"line {line}: invalid geometry: {exc}") from None
+        raise ConfigError(f"{where}: invalid geometry: {exc}") from None
 
 
 def _check_finite(key, value, where):
@@ -140,32 +150,62 @@ def _check_finite(key, value, where):
     return value
 
 
-def _check_int(key, value, where):
-    """`value` as an int; ConfigError naming `key` and `where` it was given
-    unless it is a whole number of at least _INT_MINIMA[key]."""
+def _check_int(key, text, value, where):
+    """`text` (read as `value`) as an int; ConfigError naming `key` and `where`
+    it was given unless it is a whole number of at least _INT_MINIMA[key]."""
     low = _INT_MINIMA[key]
-    if (isinstance(value, float) and not value.is_integer()) or value < low:
-        raise ConfigError(f"{where}: {key} must be an integer >= {low}, got {value}")
-    return int(value)
+    if not value.is_integer() or value < low:
+        raise ConfigError(f"{where}: {key} must be an integer >= {low}, got {text}")
+    return int(text) if text.isdigit() else int(value)  # digits stay exact above 2**53
 
 
-def _build_config(vals, lines):
-    if "seed" not in vals:
+def _build_config(given):
+    """The config from the file's `key -> (text, where)` map with any flags
+    merged in; each error names the key and the line or flag it came from."""
+    if "seed" not in given:
         raise ConfigError("missing mandatory key 'seed' (wall-clock seeding is not supported)")
-    geom = _geometry_from_placement(vals, lines)
+    placed_at = given.get("epsilon", given.get("su1_x", ("", "line ?")))[1]
+    given = {key: (text, "line ?") for key, text in _DEFAULTS.items()} | given
+    vals = {}
+    for key, (text, where) in given.items():
+        if key == "sir_grid_db":
+            vals[key] = _parse_grid(text, key, where)
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigError(f"{where}: {key} must be numeric, got {text!r}") from None
+        vals[key] = (_check_int(key, text, value, where) if key in _INT_MINIMA
+                     else _check_finite(key, value, where))
+        if key == "gamma_th" and value < 0:
+            raise ConfigError(f"{where}: gamma_th must be >= 0, got {text}")
+    geom = _geometry_from_placement(vals, placed_at)
     power = PowerConfig(p_cci_db=vals["cci_db"], w_db=vals["w_db"],
                         gamma_bar_db=vals["gamma_bar_db"])
-    grid = vals["sir_grid_db"]
-    if isinstance(grid, str):
-        grid = _parse_grid(grid, "sir_grid_db", f"line {lines.get('sir_grid_db', '?')}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("sir_grid_db must be strictly increasing")
-    counts = {key: _check_int(key, vals[key], f"line {lines.get(key, '?')}")
-              for key in _INT_MINIMA}
     return ExperimentConfig(
-        geometry=geom, power=power, gamma_th=vals["gamma_th"],
-        sir_grid_db=grid, **counts,
+        geometry=geom, power=power, gamma_th=vals["gamma_th"], sir_grid_db=vals["sir_grid_db"],
+        **{key: vals[key] for key in _INT_MINIMA},
     )
+
+
+def _read_config(path):
+    """A config file's `key -> (text, "line N")` map; unknown or repeated keys raise."""
+    given = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            where = f"line {lineno}"
+            if "=" not in text:
+                raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
+            key, _, value = (part.strip() for part in text.partition("="))
+            if key not in _DEFAULTS and key != "seed":
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            if key in given:
+                raise ConfigError(f"{where}: duplicate key {key!r} (first on {given[key][1]})")
+            given[key] = (value, where)
+    return given
 
 
 def load_config(path) -> ExperimentConfig:
@@ -173,33 +213,7 @@ def load_config(path) -> ExperimentConfig:
 
     Unknown keys are rejected; errors name the offending key and line.
     """
-    vals = dict(_DEFAULTS)
-    lines = {}
-    numeric = {"bs2_x", "su1_x", "pu1_x", "pu4_offset", "pu4_angle_deg", "epsilon",
-               "w_db", "cci_db", "gamma_bar_db", "gamma_th", "trials", "seed", "workers"}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = (part.strip() for part in text.partition("="))
-            if key not in _DEFAULTS and key != "seed":
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            if key in lines:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {lines[key]})")
-            lines[key] = lineno
-            if key in numeric:
-                try:
-                    vals[key] = float(value)
-                except ValueError:
-                    raise ConfigError(f"line {lineno}: {key} must be numeric, got {value!r}") from None
-                if key not in _INT_MINIMA:
-                    _check_finite(key, vals[key], f"line {lineno}")
-            else:
-                vals[key] = value
-    return _build_config(vals, lines)
+    return _build_config(_read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +375,6 @@ def run_experiment(cmd: str, cfg: ExperimentConfig, out_path: str) -> int:
     return failures
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    power = cfg.power
-    if args.w_db is not None:
-        power = replace(power, w_db=_check_finite("w_db", args.w_db, "--w-db"))
-    if args.cci_db is not None:
-        power = replace(power, p_cci_db=_check_finite("cci_db", args.cci_db, "--cci-db"))
-    updates = {"power": power}
-    for key in _INT_MINIMA:
-        value = getattr(args, key)
-        if value is not None:
-            updates[key] = _check_int(key, value, f"--{key}")
-    if args.sir_db is not None:
-        updates["sir_grid_db"] = _parse_grid(args.sir_db, "sir_grid_db", "--sir-db")
-    return replace(cfg, **updates)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="curelay",
@@ -386,15 +384,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--sir-db", default=None, metavar="LO:STEP:HI")
-        p.add_argument("--w-db", type=float, default=None)
-        p.add_argument("--cci-db", type=float, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        for flag, key in _FLAGS.items():
+            p.add_argument(flag, dest=key)
     args = parser.parse_args(argv)
+    flags = {key: (getattr(args, key), flag) for flag, key in _FLAGS.items()
+             if getattr(args, key) is not None}
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = _build_config(_read_config(args.config) | flags)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,7 +53,6 @@ class NumericTolerance:
 
 
 # Defaults: two orders tighter than anything the experiment layer asserts.
-SPECIAL_TOL = NumericTolerance(rel_tol=1e-10, abs_tol=0.0, max_iter=500)
 QUAD_TOL = NumericTolerance(rel_tol=1e-8, abs_tol=1e-14, max_iter=2000)
 ROOT_TOL = NumericTolerance(rel_tol=1e-10, abs_tol=0.0, max_iter=300)
 
@@ -156,25 +155,33 @@ def _psi_cf(x):
     return out
 
 
+def _e1_family(x, name, psi):
+    """E1(x), or Psi(1,1,x) = e^x E1(x) if `psi`: the E1 series below x = 1,
+    the Psi continued fraction above, each scaled only where it must be."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size and not (arr > 0).all():
+        raise ValueError(f"{name} requires x > 0")
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    out = np.empty_like(arr)
+    lo = arr <= 1.0
+    if lo.any():
+        series = _e1_series(arr[lo])
+        out[lo] = np.exp(arr[lo]) * series if psi else series
+    hi = ~lo
+    if hi.any():
+        cf = _psi_cf(arr[hi])
+        out[hi] = cf if psi else np.exp(-arr[hi]) * cf
+    return float(out[0]) if scalar else out
+
+
 def exp_e1(x):
     """Exponential integral E1(x) = int_x^inf e^{-t}/t dt for x > 0.
 
     Series below x=1, continued fraction above; relative accuracy ~1e-13
     over [1e-8, 700].
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not (arr > 0).all():
-        raise ValueError("exp_e1 requires x > 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    lo = arr <= 1.0
-    if lo.any():
-        out[lo] = _e1_series(arr[lo])
-    hi = ~lo
-    if hi.any():
-        out[hi] = np.exp(-arr[hi]) * _psi_cf(arr[hi])
-    return float(out[0]) if scalar else out
+    return _e1_family(x, "exp_e1", psi=False)
 
 
 def tricomi_psi11(x):
@@ -183,19 +190,7 @@ def tricomi_psi11(x):
     Evaluated without forming e^x, so it stays finite for arbitrarily
     large x (asymptotically 1/x).
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not (arr > 0).all():
-        raise ValueError("tricomi_psi11 requires x > 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    lo = arr <= 1.0
-    if lo.any():
-        out[lo] = np.exp(arr[lo]) * _e1_series(arr[lo])
-    hi = ~lo
-    if hi.any():
-        out[hi] = _psi_cf(arr[hi])
-    return float(out[0]) if scalar else out
+    return _e1_family(x, "tricomi_psi11", psi=True)
 
 
 # ---------------------------------------------------------------------------
@@ -281,52 +276,22 @@ def _f21_near_unit_zero(a, b, w):
     return pref * s
 
 
-def _f21_near_unit_pos(a, b, m, w):
-    """2F1(a,b;c;1-w) for c = a+b+m, m >= 1, 0 < w < 1."""
-    c = a + b + m
-    fact = math.factorial
-    s1 = 0.0
-    term = 1.0
-    for n in range(m):
-        if n > 0:
-            term *= (a + n - 1) * (b + n - 1) / (n * (n - m))
-        s1 += term * w**n
-    s1 *= fact(m - 1) * fact(c - 1) / (fact(a + m - 1) * fact(b + m - 1))
-    pref = ((-1) ** m) * fact(c - 1) / (fact(a - 1) * fact(b - 1))
-    lw = math.log(w)
-    s2 = 0.0
-    poch_a = poch_b = nfact = 1.0
-    nmfact = float(fact(m))
-    for n in range(500):
-        if n > 0:
-            poch_a *= a + m + n - 1
-            poch_b *= b + m + n - 1
-            nfact *= n
-            nmfact *= n + m
-        bracket = lw - _digamma_int(n + 1) - _digamma_int(n + m + 1) \
-            + _digamma_int(a + n + m) + _digamma_int(b + n + m)
-        t = poch_a * poch_b / (nfact * nmfact) * bracket * w**n
-        s2 += t
-        if n > 4 and abs(t) <= 1e-17 * abs(s2):
-            break
-    return s1 - pref * (w**m) * s2
-
-
 def gauss_2f1_near_unit(a, b, c, one_minus_z):
     """2F1(a,b;c;z) parameterized by w = 1-z, for 0 < w <= 0.5.
 
     Entry point for callers that know 1-z to full precision (the ratio-SIR
-    upper-bound CDF needs z within ~1e-16 of 1); integer a, b >= 1, c >= 1.
+    upper-bound CDF needs z within ~1e-16 of 1); integers a, b >= 1 and
+    1 <= c <= a + b (the logarithmic cases), else ValueError.
     """
     w = float(one_minus_z)
     if not 0.0 < w <= 0.5:
         raise ValueError("gauss_2f1_near_unit requires 0 < 1-z <= 0.5")
     m = c - a - b
-    if m < 0:
-        return _f21_near_unit_neg(a, b, -m, w)
+    if m > 0:
+        raise ValueError(f"gauss_2f1_near_unit requires c <= a + b, got ({a}, {b}, {c})")
     if m == 0:
         return _f21_near_unit_zero(a, b, w)
-    return _f21_near_unit_pos(a, b, m, w)
+    return _f21_near_unit_neg(a, b, -m, w)
 
 
 def gauss_2f1(a, b, c, z):
@@ -335,7 +300,9 @@ def gauss_2f1(a, b, c, z):
 
     Raw series for |z| <= 0.5, Pfaff transform for z < -0.5, and the
     degenerate (integer c-a-b, logarithmic) linear transformations for
-    0.5 < z < 1, so arguments arbitrarily close to 1 stay accurate.
+    0.5 < z < 1, so arguments arbitrarily close to 1 stay accurate. These
+    need c <= a + b (ValueError for 0.5 < z < 1 otherwise, and for z < -1
+    with c > b > a).
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
         if int(v) != v or v < 1:
@@ -344,18 +311,13 @@ def gauss_2f1(a, b, c, z):
     z = float(z)
     if z >= 1.0:
         raise ValueError(f"gauss_2f1 requires z < 1, got {z}")
-    if z == 0.0:
-        return 1.0
     if z < -0.5:
         # Pfaff: (1-z)^{-a} 2F1(a, c-b; c; z/(z-1)); new argument in (1/3, 1)
         zz = z / (z - 1.0)
-        if c - b >= 1:
-            if zz <= 0.5:
-                inner = _f21_series(a, c - b, c, zz)
-            else:
-                inner = gauss_2f1_near_unit(a, c - b, c, 1.0 - zz)
+        if zz <= 0.5 or c - b < 1:  # c - b < 1: a terminating polynomial
+            inner = _f21_series(a, c - b, c, zz)
         else:
-            inner = _f21_series(a, c - b, c, zz)  # terminating polynomial
+            inner = gauss_2f1_near_unit(a, c - b, c, 1.0 - zz)
         return (1.0 - z) ** (-a) * inner
     if z <= 0.5:
         return _f21_series(a, b, c, z)
@@ -420,11 +382,6 @@ def _gk15_reduce(fx, a, b):
     return k, err
 
 
-def _gk15(f, a, b):
-    """One Gauss-Kronrod 15 panel on [a, b]: (kronrod, error_estimate)."""
-    return _gk15_reduce(np.asarray(f(_gk15_nodes(a, b)), dtype=float), a, b)
-
-
 def _gk15_halves(f, a, m, b):
     """The panels [a, m] and [m, b] from one integrand call on their 30
     abscissae: ((kronrod, error) left, (kronrod, error) right)."""
@@ -438,60 +395,37 @@ class QuadratureResult:
     error_bound: float
     panels: int
 
-    def __float__(self):
-        return self.value
-
-
-def _transform(f, lo, hi):
-    """Map an improper range onto a finite one; returns (g, a, b)."""
-    lo = float(lo)
-    hi = float(hi)
-    if math.isfinite(lo) and math.isfinite(hi):
-        return f, lo, hi
-    if math.isfinite(lo) and hi == math.inf:
-        def g(t):
-            t = np.asarray(t, dtype=float)
-            u = 1.0 - t
-            return f(lo + t / u) / (u * u)
-        return g, 0.0, 1.0
-    if lo == -math.inf and math.isfinite(hi):
-        def g(t):
-            t = np.asarray(t, dtype=float)
-            u = 1.0 - t
-            return f(hi - t / u) / (u * u)
-        return g, 0.0, 1.0
-    if lo == -math.inf and hi == math.inf:
-        def g(t):
-            t = np.asarray(t, dtype=float)
-            u = 1.0 - t * t
-            return f(t / u) * (1.0 + t * t) / (u * u)
-        return g, -1.0, 1.0
-    raise ValueError(f"invalid integration range ({lo}, {hi})")
-
 
 def integrate(f, lo, hi, tol=QUAD_TOL):
-    """Adaptive Gauss-Kronrod quadrature of a vectorized integrand.
+    """Adaptive Gauss-Kronrod quadrature of a vectorized integrand over
+    [lo, hi], lo finite and hi > lo finite or +inf.
 
     `f` must accept a numpy array of abscissae and return the integrand
-    values elementwise. Semi-infinite and doubly infinite ranges are mapped
-    onto finite ones by rational substitution. Deterministic for fixed
-    inputs. Raises IntegrationError (carrying the partial estimate) if the
-    tolerance is not met within tol.max_iter panel subdivisions.
+    values elementwise. hi = +inf is mapped onto [0, 1) by x = lo + t/(1-t).
+    lo == hi gives 0; any other range raises ValueError. Deterministic for
+    fixed inputs. Raises IntegrationError (carrying the partial estimate) if
+    the tolerance is not met within tol.max_iter panel subdivisions.
     """
+    lo, hi = float(lo), float(hi)
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0)
-    sign = 1.0
-    if lo > hi:
-        lo, hi, sign = hi, lo, -1.0
-    g, a, b = _transform(f, lo, hi)
-    val, err = _gk15(g, a, b)
+    if not (math.isfinite(lo) and lo < hi):
+        raise ValueError(f"integrate needs finite lo < hi, got ({lo}, {hi})")
+    if hi == math.inf:
+        def g(t):
+            u = 1.0 - t
+            return f(lo + t / u) / (u * u)
+        a, b = 0.0, 1.0
+    else:
+        g, a, b = f, lo, hi
+    val, err = _gk15_reduce(np.asarray(g(_gk15_nodes(a, b)), dtype=float), a, b)
     heap = [(-err, 0, a, b, val, err)]
     total_val, total_err = val, err
     counter = 1
     min_width = 1e-14 * (b - a)
     for _ in range(tol.max_iter):
         if total_err <= max(tol.abs_tol, tol.rel_tol * abs(total_val)):
-            return QuadratureResult(sign * total_val, total_err, counter)
+            return QuadratureResult(total_val, total_err, counter)
         neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
         if pb - pa <= min_width:
             # cannot subdivide further (integrable endpoint singularity);
@@ -509,10 +443,10 @@ def integrate(f, lo, hi, tol=QUAD_TOL):
         heapq.heappush(heap, (-e2, counter + 1, pm, pb, v2, e2))
         counter += 2
     if total_err <= max(tol.abs_tol, tol.rel_tol * abs(total_val)):
-        return QuadratureResult(sign * total_val, total_err, counter)
+        return QuadratureResult(total_val, total_err, counter)
     raise IntegrationError(
         f"quadrature did not converge within {tol.max_iter} subdivisions",
-        sign * total_val, total_err)
+        total_val, total_err)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,14 @@ def test_config_requires_seed(tmp_path):
     p = write_cfg(tmp_path, "w_db = 10\n")
     with pytest.raises(ConfigError, match="seed"):
         load_config(p)
+    # --seed gives the key the file leaves out
+    assert main(["water-level", "--config", str(p), "--out", str(tmp_path / "w.csv"),
+                 "--seed", "1"]) == 0
+
+
+def test_config_keeps_every_digit_of_a_large_seed(tmp_path):
+    seed = 2**53 + 1  # not a float
+    assert load_config(write_cfg(tmp_path, f"seed = {seed}\n")).seed == seed
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -298,11 +306,22 @@ def test_cli_overrides_and_run(tmp_path):
      "line 7: gamma_th must be a finite number, got -inf"),
     ("outage-bs", FAST_BODY.replace("0:20:40", "nan:20:40"), [],
      "line 5: sir_grid_db must be a finite number, got nan"),
+    ("outage-su", FAST_BODY + "gamma_th = -1\n", [], "line 7: gamma_th must be >= 0, got -1"),
+    ("outage-bs", FAST_BODY + "gamma_th = -0.5\n", [],
+     "line 7: gamma_th must be >= 0, got -0.5"),
+    ("water-level", FAST_BODY.replace("0:20:40", "0:1e-12:40"), [],
+     "line 5: sir_grid_db has more than 10000 points, got '0:1e-12:40'"),
+    ("water-level", FAST_BODY, ["--sir-db", "0:1e-12:40"],
+     "--sir-db: sir_grid_db has more than 10000 points, got '0:1e-12:40'"),
+    ("rate", FAST_BODY, ["--sir-db", "1e20:2:1.0000000000000002e20"],
+     "--sir-db: sir_grid_db must be strictly increasing"),
 ], ids=["workers-0", "workers-negative", "trials-0", "seed-negative", "outage-bs-floor",
         "outage-su-floor", "rate-floor-file", "rate-floor-flag", "file-workers-0",
         "file-workers-fraction", "file-trials-inf", "file-trials-nan", "flag-w-inf",
         "flag-w-nan", "flag-cci-neg-inf", "flag-grid-inf", "file-epsilon-inf", "file-w-nan",
-        "file-gamma-th-neg-inf", "file-grid-nan"])
+        "file-gamma-th-neg-inf", "file-grid-nan", "file-gamma-th-negative-su",
+        "file-gamma-th-negative-bs", "file-grid-too-many-points", "flag-grid-too-many-points",
+        "flag-grid-not-increasing"])
 def test_cli_rejects_bad_counts_before_any_work(tmp_path, monkeypatch, capsys, cmd, body,
                                                 flags, message):
     def no_solve(*args, **kwargs):
@@ -314,6 +333,32 @@ def test_cli_rejects_bad_counts_before_any_work(tmp_path, monkeypatch, capsys, c
     assert main([cmd, "--config", str(cfgp), "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == [cfgp.name]
+
+
+@pytest.mark.parametrize("flag, key, bad", [
+    ("--w-db", "w_db", "nan"),
+    ("--cci-db", "cci_db", "soon"),
+    ("--sir-db", "sir_grid_db", "0:5:inf"),
+    ("--trials", "trials", "0"),
+    ("--seed", "seed", "-1"),
+    ("--workers", "workers", "1.5"),
+])
+def test_flag_and_file_key_share_one_check(tmp_path, monkeypatch, capsys, flag, key, bad):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config that should have been rejected")
+
+    monkeypatch.setattr(curelay.expcli, "solve_water_level", no_solve)
+    body = "".join(line + "\n" for line in FAST_BODY.splitlines()
+                   if not line.startswith(key))
+    messages = []
+    for text, flags in ((body + f"{key} = {bad}\n", []), (body, [flag, bad])):
+        cfgp = write_cfg(tmp_path, text)
+        assert main(["water-level", "--config", str(cfgp), "--out", str(tmp_path / "o.csv"),
+                     *flags]) == 2
+        messages.append(capsys.readouterr().err)
+    line = len(body.splitlines()) + 1
+    assert messages[0].startswith(f"error: line {line}: {key} ")
+    assert messages[1] == messages[0].replace(f"line {line}: ", f"{flag}: ", 1)
 
 
 # su1_x = 0.5, pu1_x = 0.75 and sin(angle) = -0.3125 put PU4 at equal

@@ -193,6 +193,11 @@ def test_2f1_domain_errors():
         gauss_2f1(1.5, 2, 3, 0.5)
     with pytest.raises(ValueError):
         gauss_2f1_near_unit(2, 2, 3, 0.0)
+    # only the logarithmic cases c <= a + b are implemented
+    with pytest.raises(ValueError, match="c <= a \\+ b"):
+        gauss_2f1_near_unit(2, 1, 4, 0.25)
+    with pytest.raises(ValueError, match="c <= a \\+ b"):
+        gauss_2f1(2, 1, 4, 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +215,20 @@ def test_integrate_log_singularity():
     assert r.value == pytest.approx(-1.0, rel=1e-9)
 
 
-def test_integrate_gaussian_doubly_infinite():
-    r = integrate(lambda t: np.exp(-t * t), -math.inf, math.inf, TIGHT)
-    assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (-math.inf, math.inf), (math.nan, 1.0)])
+def test_integrate_rejects_a_lower_limit_that_is_not_finite(lo, hi):
+    with pytest.raises(ValueError, match="finite lo < hi"):
+        integrate(lambda t: np.exp(-t * t), lo, hi, TIGHT)
 
 
 def test_integrate_orientation_and_empty():
+    # an empty range is 0 (a limit such as lam/b may underflow to 0)
     assert integrate(lambda t: t, 1.0, 1.0).value == 0.0
     fwd = integrate(lambda t: t * t, 0.0, 2.0, TIGHT).value
-    rev = integrate(lambda t: t * t, 2.0, 0.0, TIGHT).value
     assert fwd == pytest.approx(8.0 / 3.0, rel=1e-13)
-    assert rev == pytest.approx(-fwd, rel=1e-14)
+    for lo, hi in ((2.0, 0.0), (math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            integrate(lambda t: t * t, lo, hi, TIGHT)
 
 
 def test_integrate_linearity():
