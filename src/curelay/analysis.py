@@ -3,19 +3,31 @@ upper-bound distribution in closed form, and achievable-rate curves.
 
 Monte-Carlo runs split the trials into fixed-size blocks. Grid points are
 gathered in groups that share one fading draw per block: block i of group k
-draws unit-mean gains from a generator seeded by (seed, k * 1,000,000 + i),
-and each point of the group scales h2, g2, f2 by its own gamma_bar
-(bitwise what sampling at that mean gives). An `outage_mc` sweep is one
-group, so every point reuses the draws of blocks (seed, i); a `rate_curve`
-point is a group of its own, and every power policy of the call is
+draws unit-mean gains from a generator seeded by (seed, k * 1,000,000 + i).
+Scaling h2, g2, f2 by a point's gamma_bar is bitwise what sampling at that
+mean gives. An `outage_mc` sweep is one group, so every point reuses the
+draws of blocks (seed, i); a `rate_curve` point is a group of its own, whose
+block scales its draw in place, and every power policy of the call is
 evaluated on that point's draws. Both kinds of block do their elementwise
 work on slices of `SLICE_DRAWS` draws, which keeps the working set in cache:
 an outage block adds the slices' outage counts, while a rate block packs
 the per-draw terms of each slice's counted draws into block-length arrays
 and forms its floating-point sums over the whole block, so the slice length
-never moves a bit. Each call runs all its blocks through one process pool and reduces the
-partial sums in block order, so results are bit-identical for any worker
-count.
+never moves a bit. Each call runs all its blocks through one process pool
+and reduces the partial sums in block order, so results are bit-identical
+for any worker count.
+
+An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
+and whether the SU transmits do not depend on gamma_bar (up to rounding),
+while gamma1, gamma3 and gamma4 scale with it, so each draw has a critical
+gamma_bar below which it is in outage, and every grid point is decided by
+one comparison with it. A guard sends a draw through the exact per-point
+path instead (the per-point kernel evaluated at that point's gamma_bar)
+where rounding could tell the two apart: a zero or non-finite gain, a
+near-cancelling P_su1, gamma2 near gamma_th at the BS, or a point within
+`_CRIT_BAND` of the critical value. The counts are therefore bit for bit
+those of the per-point kernel. The dual-route gamma2 check runs on every
+unit-mean slice and on every guard draw.
 
 Outage semantics: at the base station the statistic is conditioned on the
 secondary actually transmitting (P_su1 > 0), matching the truncated law the
@@ -30,7 +42,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,8 +56,8 @@ from .channels import (
     sample_fading,
 )
 from .mathkernel import gauss_2f1, gauss_2f1_near_unit
-from .power import fixed_power, optimal_power
-from .relaying import bs_sir, check_gamma2_routes, sir_sample
+from .power import _power_terms, fixed_power, optimal_power
+from .relaying import _su_terms, bs_sir, check_gamma2_routes, sir_sample
 
 __all__ = [
     "OutageEstimate",
@@ -69,6 +81,19 @@ RATE_MIN_TRIALS = 100_000
 # slice array through mmap: an mc_outage pass went from 27k to 372k page
 # faults and from 2.3 to 3.1 s (2-vCPU x86-64 host, glibc malloc).
 SLICE_DRAWS = 16_384
+# Relative half-width of the band around a draw's critical gamma_bar inside
+# which an outage point takes the exact per-point path; the same width
+# guards the P_su1 cancellation |head - tail| <= d head and, at the BS,
+# |gamma2 - gamma_th| <= d (1 + gamma_th). The critical value and a point's
+# own kernel see one draw through different roundings (the gamma_bar
+# scaling, ~10 roundings each). Past those two guards, head - tail amplifies
+# them by at most 1/d and gamma_th gamma2/(gamma2 - gamma_th) amplifies
+# gamma2's absolute error ~10 eps (1 + gamma2) by at most 1/(d (1 + gamma_th)),
+# so crit is off the kernel's boundary by < ~30 eps/d = 7e-9 relative; across
+# the band the kernel's SIR moves by > d^2 = 1e-12 relative (BS) or d (SU)
+# against its ~3 eps = 7e-16 rounding. d = 1e-6 leaves > 100x headroom on
+# both, so every (n_out, n_counted) is bit for bit the per-point kernel's.
+_CRIT_BAND = 1e-6
 _LN2 = math.log(2.0)
 
 
@@ -111,26 +136,30 @@ class RateEstimate:
 _UNIT_MEAN = PowerConfig(p_cci_db=0.0, w_db=0.0, gamma_bar_db=0.0)
 
 
+def _select(draw, index):
+    """The draws of `draw` at `index` (a slice or a mask)."""
+    return FadingRealization(*(getattr(draw, f.name)[index] for f in fields(draw)))
+
+
 def _slices(draw, size):
-    """(start, draw[start:start + size]) for consecutive slices of `draw`."""
+    """Consecutive slices of at most `size` draws of `draw`."""
     for lo in range(0, draw.h2.size, size):
-        yield lo, FadingRealization(*(a[lo:lo + size] for a in (
-            draw.h2, draw.g2, draw.f2, draw.u2, draw.v2, draw.w2)))
+        yield _select(draw, slice(lo, lo + size))
+
+
+def _at_mean(draw, cfg):
+    """A unit-mean `draw` at cfg's gamma_bar: h2, g2, f2 scaled in place
+    (bitwise what sampling at that mean gives)."""
+    h2, g2, f2 = (np.multiply(a, cfg.gamma_bar_lin, out=a) for a in (draw.h2, draw.g2, draw.f2))
+    return replace(draw, h2=h2, g2=g2, f2=f2)
 
 
 def _run_block(task):
     block_fn, group, args, seed, stream, n, chunk = task
     draw = sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n)
     parts = None
-    for _, piece in _slices(draw, chunk):
-        unit = (piece.h2, piece.g2, piece.f2)
-        sums = []
-        for j, cfg in enumerate(group):
-            # the last point scales the unit draw in place, so a group of one copies nothing
-            last = j == len(group) - 1
-            h2, g2, f2 = (np.multiply(a, cfg.gamma_bar_lin, out=a if last else None)
-                          for a in unit)
-            sums.append(block_fn(replace(piece, h2=h2, g2=g2, f2=f2), cfg, *args))
+    for piece in _slices(draw, chunk):
+        sums = block_fn(piece, group, *args)
         parts = sums if parts is None else [
             tuple(a + b for a, b in zip(acc, part)) for acc, part in zip(parts, sums)]
     return parts
@@ -138,10 +167,12 @@ def _run_block(task):
 
 def _sweep(block_fn, args, groups, trials, seed, workers, block_size, chunk=None):
     """Per PowerConfig of every group in `groups`, in order, the column sums
-    of block_fn(draw, cfg, *args) over `trials` draws, in the block layout of
-    the module docstring. With `chunk`, block_fn runs on consecutive slices
-    of at most `chunk` draws of each block and its sums are added slice by
-    slice, which is exact only for integer sums."""
+    of block_fn(draw, group, *args), which returns one row of sums per
+    PowerConfig of the group from the group's unit-mean draw, over `trials`
+    draws in the block layout of the module docstring. With `chunk`,
+    block_fn runs on consecutive slices of at most `chunk` draws of each
+    block and its sums are added slice by slice, which is exact only for
+    integer sums."""
     n_full, rem = divmod(trials, block_size)
     sizes = [block_size] * n_full + ([rem] if rem else [])
     tasks = [(block_fn, group, args, seed, k * 1_000_000 + i, n, chunk or n)
@@ -156,7 +187,9 @@ def _sweep(block_fn, args, groups, trials, seed, workers, block_size, chunk=None
             for k in range(len(groups)) for point in zip(*parts[k * nb:(k + 1) * nb])]
 
 
-def _outage_block(draw, cfg, geom, lam, gamma_th, side):
+def _outage_point(draw, cfg, geom, lam, gamma_th, side):
+    """(n_out, n_counted) of `draw`, already at cfg's gamma_bar: the exact
+    per-point path."""
     if side == "bs":
         p_su1 = optimal_power(draw, geom, cfg, lam)
         _, gamma2, gamma = bs_sir(draw, geom, cfg, p_su1)
@@ -170,6 +203,63 @@ def _outage_block(draw, cfg, geom, lam, gamma_th, side):
     return n_out, n_counted
 
 
+def _critical(draw, cfg, geom, lam, gamma_th, side):
+    """(crit, exact) per draw of a unit-mean `draw`: the draw is in outage
+    at mean gamma_bar iff gamma_bar < crit (inf: at every gamma_bar; nan:
+    counted at none, or exact), and `exact` marks the draws that take the
+    exact per-point path at every point (see _CRIT_BAND)."""
+    p_su1 = optimal_power(draw, geom, cfg, lam)
+    head, tail = _power_terms(draw, geom, cfg, lam)
+    gamma1, gamma2, _ = bs_sir(draw, geom, cfg, p_su1)
+    check_gamma2_routes(draw, geom, cfg, lam, gamma2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gains = draw.h2 * draw.g2 * draw.f2 * draw.u2 * draw.v2 * draw.w2
+        exact = ~((gains > 0) & (gains < np.inf)) | ~(np.abs(head - tail) > _CRIT_BAND * head)
+        if side == "bs":
+            # gamma_bs1 = gamma1 gamma2/(gamma1 + gamma2) with gamma1 = gamma_bar a1
+            # and gamma2 free of gamma_bar: in outage at every gamma_bar when
+            # gamma2 <= gamma_th, else iff gamma1 < gamma_th gamma2/(gamma2 - gamma_th)
+            exact |= np.abs(gamma2 - gamma_th) <= _CRIT_BAND * (1.0 + gamma_th)
+            crit = np.where(gamma2 > gamma_th,
+                            gamma_th * gamma2 / ((gamma2 - gamma_th) * gamma1), np.inf)
+            crit[p_su1 == 0] = np.nan
+        else:
+            # gamma3 = gamma_bar a3, gamma4 = gamma_bar a4 and the SU's own
+            # term k of gamma5 is free of gamma_bar, so gamma_su1 < gamma_th iff
+            # gamma_bar lies below the positive root of
+            # gamma_bar^2 a3 a4 - gamma_bar gamma_th (a3 + a4) - gamma_th k
+            a3, a4, k = _su_terms(draw, geom, cfg, p_su1)
+            a, tb = a3 * a4, gamma_th * (a3 + a4)
+            crit = (tb + np.sqrt(tb * tb + 4.0 * gamma_th * a * k)) / (2.0 * a)
+    crit[exact] = np.nan
+    return crit, exact
+
+
+def _outage_block(draw, group, geom, lam, gamma_th, side):
+    """(n_out, n_counted) at each PowerConfig of `group` for the unit-mean
+    `draw`: one comparison with each draw's critical gamma_bar decides the
+    draw, except the exact draws and those within _CRIT_BAND of their
+    critical value, which take the exact per-point path."""
+    crit, exact = _critical(draw, replace(group[0], gamma_bar_db=0.0), geom, lam,
+                            gamma_th, side)
+    lo, hi = crit * (1.0 - _CRIT_BAND), crit * (1.0 + _CRIT_BAND)
+    n_decided = int(np.count_nonzero(~np.isnan(crit)))
+    any_exact = bool(exact.any())
+    sums = []
+    for cfg in group:
+        g = cfg.gamma_bar_lin
+        n_out = int(np.count_nonzero(lo > g))
+        n_band = int(np.count_nonzero(hi >= g)) - n_out
+        n_counted = n_decided - n_band
+        if n_band or any_exact:
+            pick = exact | ((lo <= g) & (hi >= g))
+            e_out, e_counted = _outage_point(_at_mean(_select(draw, pick), cfg), cfg, geom,
+                                             lam, gamma_th, side)
+            n_out, n_counted = n_out + e_out, n_counted + e_counted
+        sums.append((n_out, n_counted))
+    return sums
+
+
 def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: float,
               side: str, sir_grid_db, trials: int, seed: int, workers: int = 1,
               block_size: int = BLOCK_SIZE) -> list[OutageEstimate]:
@@ -179,10 +269,12 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
     Requires a pre-solved water level; deterministic for a given seed
     regardless of `workers`. Every point reuses the same fading draws, blocks
     seeded (seed, i), so a point's estimate does not depend on the rest of
-    the grid. The BS side counts draws with P_su1 > 0 and a defined gamma_bs1
-    and computes only the BS-side SIRs. Analytic bounds are attached: the
-    order-statistics pair at the BS, the closed-form upper-bound-SIR curve at
-    the SU (a lower bound on outage there).
+    the grid. One critical gamma_bar per draw decides it at every point, and
+    guarded draws take the exact per-point kernel (module docstring), so the
+    counts are those of evaluating every point in full. The BS side counts
+    draws with P_su1 > 0 and a defined gamma_bs1. Analytic bounds are
+    attached: the order-statistics pair at the BS, the closed-form
+    upper-bound-SIR curve at the SU (a lower bound on outage there).
     """
     if lam is None or lam < 0:
         raise ValueError("outage_mc requires a solved, nonnegative water level")
@@ -283,18 +375,20 @@ def su_outage_closed_form(gamma_th: float, geom: ScenarioGeometry, cfg: PowerCon
     return float(cdf)
 
 
-def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
+def _rate_block(draw, group, geom, lam, policies, slice_draws):
     """Per policy: the sum and the sum of squares of log2(1 + gamma2), the
     sum of 0.5 log2(1 + gamma_bs1), and the count of draws where both are
     finite. The terms of the counted draws are computed slice by slice and
     packed into block-length arrays, so each sum runs over the same array
     as on the whole block and the result does not depend on `slice_draws`."""
+    (cfg,) = group
+    draw = _at_mean(draw, cfg)
     n = draw.h2.size
     obj, sq, e2e = np.empty(n), np.empty(n), np.empty(n)
     sums = []
     for policy in policies:
         m = 0
-        for _, piece in _slices(draw, slice_draws):
+        for piece in _slices(draw, slice_draws):
             if policy == "optimal":
                 p_su1 = optimal_power(piece, geom, cfg, lam)
             else:
@@ -307,7 +401,7 @@ def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
             np.divide(0.5 * np.log1p(gbs[valid]), _LN2, out=e2e[m:k])
             m = k
         sums += (float(obj[:m].sum()), float(sq[:m].sum()), float(e2e[:m].sum()), m)
-    return sums
+    return [sums]
 
 
 def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policies,

@@ -73,6 +73,12 @@ _INT_MINIMA = {"trials": 1, "seed": 0, "workers": 1}
 _TRIAL_FLOORS = {"outage-bs": OUTAGE_MIN_TRIALS, "outage-su": OUTAGE_MIN_TRIALS,
                  "rate": RATE_MIN_TRIALS}
 _MAX_GRID_POINTS = 10_000
+# the placement keys each ScenarioGeometry field is computed from
+_PLACEMENT_KEYS = {
+    "s": ("pu1_x",), "l": ("su1_x", "pu1_x"), "z": ("pu4_offset",), "d": ("bs2_x", "su1_x"),
+    "r": ("su1_x", "pu1_x", "pu4_offset", "pu4_angle_deg"),
+    "q": ("su1_x", "pu4_offset", "pu4_angle_deg"), "epsilon": ("epsilon",),
+}
 # each command-line flag and the config key it overrides
 _FLAGS = {"--w-db": "w_db", "--cci-db": "cci_db", "--sir-db": "sir_grid_db",
           "--trials": "trials", "--seed": "seed", "--workers": "workers"}
@@ -121,24 +127,31 @@ def _parse_grid(text, key, where):
     return grid
 
 
-def _geometry_from_placement(vals, where):
+def _geometry_from_placement(vals, given):
+    """The ScenarioGeometry of the placement in `vals`; an invalid one raises
+    ConfigError naming where each key it was computed from was given."""
     su1_x = vals["su1_x"]
     pu1_x = vals["pu1_x"]
     bs2_x = vals["bs2_x"]
     off = vals["pu4_offset"]
     ang = math.radians(vals["pu4_angle_deg"])
     pu4 = (su1_x + off * math.sin(ang), off * math.cos(ang))
+    dims = dict(
+        s=pu1_x,
+        l=abs(su1_x - pu1_x),
+        r=math.hypot(pu4[0] - pu1_x, pu4[1]),
+        q=math.hypot(pu4[0], pu4[1]),
+        z=off,
+        d=abs(bs2_x - su1_x),
+        epsilon=vals["epsilon"],
+    )
     try:
-        return ScenarioGeometry(
-            s=pu1_x,
-            l=abs(su1_x - pu1_x),
-            r=math.hypot(pu4[0] - pu1_x, pu4[1]),
-            q=math.hypot(pu4[0], pu4[1]),
-            z=off,
-            d=abs(bs2_x - su1_x),
-            epsilon=vals["epsilon"],
-        )
+        return ScenarioGeometry(**dims)
     except ValueError as exc:
+        # the defaults place every node validly, so a given key is to blame
+        bad = [name for name, v in dims.items() if name != "epsilon" and not v > 0]
+        keys = [k for name in bad or ["epsilon"] for k in _PLACEMENT_KEYS[name] if k in given]
+        where = ", ".join(dict.fromkeys(given[k][1] for k in keys))
         raise ConfigError(f"{where}: invalid geometry: {exc}") from None
 
 
@@ -164,10 +177,9 @@ def _build_config(given):
     merged in; each error names the key and the line or flag it came from."""
     if "seed" not in given:
         raise ConfigError("missing mandatory key 'seed' (wall-clock seeding is not supported)")
-    placed_at = given.get("epsilon", given.get("su1_x", ("", "line ?")))[1]
-    given = {key: (text, "line ?") for key, text in _DEFAULTS.items()} | given
+    merged = {key: (text, "line ?") for key, text in _DEFAULTS.items()} | given
     vals = {}
-    for key, (text, where) in given.items():
+    for key, (text, where) in merged.items():
         if key == "sir_grid_db":
             vals[key] = _parse_grid(text, key, where)
             continue
@@ -179,7 +191,7 @@ def _build_config(given):
                      else _check_finite(key, value, where))
         if key == "gamma_th" and value < 0:
             raise ConfigError(f"{where}: gamma_th must be >= 0, got {text}")
-    geom = _geometry_from_placement(vals, placed_at)
+    geom = _geometry_from_placement(vals, given)
     power = PowerConfig(p_cci_db=vals["cci_db"], w_db=vals["w_db"],
                         gamma_bar_db=vals["gamma_bar_db"])
     return ExperimentConfig(

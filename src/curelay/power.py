@@ -187,6 +187,18 @@ def closed_form_check(lam: float, geom: ScenarioGeometry, cfg: PowerConfig) -> C
     )
 
 
+def _power_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
+                lam: float):
+    """(head, tail) with P_su1 = max(0, head - tail): head = lam/(d^-eps f2) and
+    the interference-product threshold tail = P (q^-eps u2 + r^-eps v2)/(l^-eps g2)."""
+    e = geom.epsilon
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = lam / (geom.d ** -e * np.asarray(draw.f2, dtype=float))
+        cci = cfg.p_cci_lin * (geom.q ** -e * np.asarray(draw.u2, dtype=float)
+                               + geom.r ** -e * np.asarray(draw.v2, dtype=float))
+        return head, cci / (geom.l ** -e * np.asarray(draw.g2, dtype=float))
+
+
 def optimal_power(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
                   lam: float):
     """Per-realization optimal transmit power under the solved water level.
@@ -198,13 +210,8 @@ def optimal_power(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerCon
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    e = geom.epsilon
-    p = cfg.p_cci_lin
-    with np.errstate(divide="ignore", invalid="ignore"):
-        head = lam / (geom.d ** -e * np.asarray(draw.f2, dtype=float))
-        cci = p * (geom.q ** -e * np.asarray(draw.u2, dtype=float)
-                   + geom.r ** -e * np.asarray(draw.v2, dtype=float))
-        tail = cci / (geom.l ** -e * np.asarray(draw.g2, dtype=float))
+    head, tail = _power_terms(draw, geom, cfg, lam)
+    with np.errstate(invalid="ignore"):
         out = np.maximum(head - tail, 0.0)
     degenerate = (np.asarray(draw.f2) == 0) | (np.asarray(draw.g2) == 0)
     out = np.where(degenerate, 0.0, out)

@@ -92,6 +92,16 @@ def bs_sir(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_
     return gamma1, gamma2, gamma_bs1
 
 
+def _su_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1):
+    """(gamma3, gamma4, gamma5 - gamma4) at SU power p_su1, where
+    gamma5 - gamma4 = P_su1 l^-eps g2/(P r^-eps v2) is the SU's own term."""
+    et = derive_etas(geom)
+    e = geom.epsilon
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (et.eta2 * draw.g2 / draw.w2, et.eta3 * draw.h2 / draw.v2,
+                p_su1 * (geom.l ** -e) * draw.g2 / (cfg.p_cci_lin * geom.r ** -e * draw.v2))
+
+
 def check_gamma2_routes(draw: FadingRealization, geom: ScenarioGeometry,
                         cfg: PowerConfig, lam: float, gamma2):
     """Raise RuntimeError when gamma2 grossly disagrees with its
@@ -119,9 +129,6 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
 
     gamma2 is checked against its reformulation (`check_gamma2_routes`).
     """
-    et = derive_etas(geom)
-    e = geom.epsilon
-    p = cfg.p_cci_lin
     h2 = np.atleast_1d(np.asarray(draw.h2, dtype=float))
     g2 = np.atleast_1d(np.asarray(draw.g2, dtype=float))
     f2 = np.atleast_1d(np.asarray(draw.f2, dtype=float))
@@ -132,13 +139,11 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
 
     p_su1 = optimal_power(batch, geom, cfg, lam)
     gamma1, gamma2, gamma_bs1 = bs_sir(batch, geom, cfg, p_su1)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma3 = et.eta2 * g2 / w2
-        gamma4 = et.eta3 * h2 / v2
-        # gamma5 = (P s^-eps h2 + P_su1 l^-eps g2)/(P r^-eps v2), grouped so
-        # that gamma5 == gamma4 bitwise whenever p_su1 == 0
-        gamma5 = gamma4 + p_su1 * (geom.l ** -e) * g2 / (p * geom.r ** -e * v2)
+    gamma3, gamma4, added = _su_terms(batch, geom, cfg, p_su1)
+    # gamma5 = (P s^-eps h2 + P_su1 l^-eps g2)/(P r^-eps v2), grouped so
+    # that gamma5 == gamma4 bitwise whenever p_su1 == 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        gamma5 = gamma4 + added
     check_gamma2_routes(batch, geom, cfg, lam, gamma2)
 
     gamma_su1 = _harmonic(gamma3, gamma4, gamma5)

@@ -1,7 +1,10 @@
 """Analysis-layer tests: outage MC against analytic bounds, the SU-side
 closed form against brute force, and the rate curves."""
 
+import copy
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +24,10 @@ from curelay import (
     solve_water_level,
     su_outage_closed_form,
 )
-from curelay.analysis import _gamma2_cdf, _outage_block
+from curelay.analysis import (_UNIT_MEAN, _at_mean, _critical, _gamma2_cdf, _outage_block,
+                              _outage_point)
 from curelay.mathkernel import NumericTolerance, integrate
+from curelay.power import _power_terms
 from curelay.relaying import check_gamma2_routes
 
 TIGHT = NumericTolerance(rel_tol=1e-11, abs_tol=1e-300, max_iter=4000)
@@ -102,17 +107,28 @@ def test_outage_slices_leave_estimates_unchanged(monkeypatch, default_geom, defa
 @pytest.mark.parametrize("side", ["bs", "su"])
 def test_dual_route_check_sees_every_draw_of_every_point(monkeypatch, default_geom,
                                                          default_cfg, solved, side):
-    seen = []
+    # every draw once at unit mean (0 dB), one call per slice, and every guard
+    # draw again at its own point; a wide band makes guard draws at each point
+    seen, guarded = [], []
 
     def counting(draw, geom, cfg, lam, gamma2):
         seen.append((cfg.gamma_bar_db, gamma2.size))
         return check_gamma2_routes(draw, geom, cfg, lam, gamma2)
 
+    def recording(draw, cfg, *args):
+        guarded.append((cfg.gamma_bar_db, draw.h2.size))
+        return exact_point(draw, cfg, *args)
+
+    exact_point = curelay.analysis._outage_point
     monkeypatch.setattr(curelay.analysis, "check_gamma2_routes", counting)
     monkeypatch.setattr(curelay.relaying, "check_gamma2_routes", counting)
+    monkeypatch.setattr(curelay.analysis, "_outage_point", recording)
+    monkeypatch.setattr(curelay.analysis, "_CRIT_BAND", 0.05)
     outage_mc(default_geom, default_cfg, solved, 3.0, side, [10.0, 20.0], 25_000, seed=2,
               block_size=10_000)
-    assert sorted(seen) == sorted((g, n) for g in (10.0, 20.0) for n in (10_000, 10_000, 5_000))
+    assert sorted(n for g, n in seen if g == 0.0) == [5_000, 10_000, 10_000]
+    assert sorted((g, n) for g, n in seen if g != 0.0) == sorted(guarded)
+    assert {g for g, _ in guarded} == {10.0, 20.0}
 
 
 def test_dual_route_check_raises_on_disagreement(default_geom, default_cfg, solved):
@@ -131,8 +147,109 @@ def test_outage_bs_counts_transmitting_draw_with_zero_v2(default_geom, default_c
                              v2=np.zeros(1), w2=one)
     s = sir_sample(draw, default_geom, default_cfg, solved)
     assert s.p_su1[0] > 0 and not s.valid[0] and np.isfinite(s.gamma_bs1[0])
-    assert _outage_block(draw, default_cfg, default_geom, solved, 3.0, "bs")[1] == 1
-    assert _outage_block(draw, default_cfg, default_geom, solved, 3.0, "su")[1] == 0
+    at_mean = [replace(default_cfg, gamma_bar_db=0.0)]  # the draw is used as given
+    assert _outage_block(draw, at_mean, default_geom, solved, 3.0, "bs")[0][1] == 1
+    assert _outage_block(draw, at_mean, default_geom, solved, 3.0, "su")[0][1] == 0
+
+
+def _per_point(draw, group, geom, lam, gamma_th, side):
+    """(n_out, n_counted) at each point of `group` by the exact per-point path."""
+    return [_outage_point(_at_mean(copy.deepcopy(draw), cfg), cfg, geom, lam, gamma_th, side)
+            for cfg in group]
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_outage_degenerate_draws_match_per_point_kernel(default_geom, default_cfg, solved,
+                                                        side):
+    # a zero in each gain in turn, among ordinary draws
+    draw = sample_fading(np.random.default_rng(11), _UNIT_MEAN, 50)
+    for i, name in enumerate(("h2", "g2", "f2", "u2", "v2", "w2")):
+        getattr(draw, name)[i] = 0.0
+    group = [replace(default_cfg, gamma_bar_db=g) for g in (-10.0, 0.0, 20.0, 40.0)]
+    for gamma_th in (0.0, 0.5, 3.0):
+        assert (_outage_block(draw, group, default_geom, solved, gamma_th, side)
+                == _per_point(draw, group, default_geom, solved, gamma_th, side))
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_outage_point_on_a_critical_value_matches_per_point_kernel(default_geom, default_cfg,
+                                                                   solved, side):
+    # points placed on some draws' critical gamma_bar: those draws lie inside
+    # the band there and must take the exact path
+    unit = replace(default_cfg, gamma_bar_db=0.0)
+    draw = sample_fading(np.random.default_rng(19), _UNIT_MEAN, 50)
+    for gamma_th in (0.5, 3.0):
+        crit, exact = _critical(draw, unit, default_geom, solved, gamma_th, side)
+        on = crit[np.isfinite(crit) & (crit > 0)][:4]
+        group = [replace(default_cfg, gamma_bar_db=10.0 * math.log10(c)) for c in on]
+        assert not exact.any() and len(group) == 4
+        assert all(abs(cfg.gamma_bar_lin - c) <= 1e-3 * curelay.analysis._CRIT_BAND * c
+                   for cfg, c in zip(group, on))
+        assert (_outage_block(draw, group, default_geom, solved, gamma_th, side)
+                == _per_point(draw, group, default_geom, solved, gamma_th, side))
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_outage_all_exact_equals_fast_path(monkeypatch, default_geom, default_cfg, solved,
+                                           side):
+    # an infinitely wide guard sends every draw of every point down the exact path
+    grid = (-10.0, 5.0, 20.0, 35.0, 50.0)
+    for gamma_th in (0.5, 3.0, 1e3):
+        kw = dict(trials=40_000, seed=13, block_size=30_000)
+        fast = outage_mc(default_geom, default_cfg, solved, gamma_th, side, grid, **kw)
+        with monkeypatch.context() as mp:
+            mp.setattr(curelay.analysis, "_CRIT_BAND", math.inf)
+            slow = outage_mc(default_geom, default_cfg, solved, gamma_th, side, grid, **kw)
+        assert fast == slow, gamma_th
+
+
+def _exact_critical(draw, i, geom, cfg, lam, gamma_th, side):
+    """Draw i's critical gamma_bar, or (SU) its quadratic, in exact rational
+    arithmetic from the same float gains and path-loss constants."""
+    e, et = geom.epsilon, derive_etas(geom)
+    h2, g2, f2, u2, v2, w2 = (Fraction(float(a[i])) for a in (
+        draw.h2, draw.g2, draw.f2, draw.u2, draw.v2, draw.w2))
+    d_, q_, r_, l_ = (Fraction(x ** -e) for x in (geom.d, geom.q, geom.r, geom.l))
+    p, t = Fraction(cfg.p_cci_lin), Fraction(gamma_th)
+    cci = p * (q_ * u2 + r_ * v2)
+    p_su1 = max(Fraction(lam) / (d_ * f2) - cci / (l_ * g2), Fraction(0))
+    if side == "bs":
+        gamma1 = Fraction(et.eta1) * h2 / u2
+        gamma2 = p_su1 * l_ * g2 / cci
+        return t * gamma2 / ((gamma2 - t) * gamma1)
+    a3, a4 = Fraction(et.eta2) * g2 / w2, Fraction(et.eta3) * h2 / v2
+    k = p_su1 * l_ * g2 / (p * r_ * v2)
+    return lambda x: x * x * a3 * a4 - x * t * (a3 + a4) - t * k
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_critical_value_headroom(default_geom, default_cfg, solved, side):
+    # the band is 1e-6 wide; the critical value must be within 1e-3 of that
+    # of the exact value from its own inputs, on the draws nearest the
+    # guards (where the cancellations are worst) and on ordinary ones
+    unit = replace(default_cfg, gamma_bar_db=0.0)
+    draw = sample_fading(np.random.default_rng(17), _UNIT_MEAN, 200_000)
+    head, tail = _power_terms(draw, default_geom, unit, solved)
+    tol = 1e-3 * curelay.analysis._CRIT_BAND
+    checked = 0
+    for gamma_th in (0.5, 3.0, 1e3):
+        crit, _ = _critical(draw, unit, default_geom, solved, gamma_th, side)
+        ok = np.flatnonzero(np.isfinite(crit))
+        nearest = [np.abs(head - tail) / head]
+        if side == "bs":
+            gamma2 = np.maximum(head - tail, 0.0) / tail
+            nearest.append(np.abs(gamma2 - gamma_th) / (1.0 + gamma_th))
+        picks = {int(i) for key in nearest for i in ok[np.argsort(key[ok])[:40]]}
+        picks |= {int(i) for i in ok[::len(ok) // 40]}
+        for i in sorted(picks):
+            exact = _exact_critical(draw, i, default_geom, unit, solved, gamma_th, side)
+            c = Fraction(float(crit[i]))
+            if side == "bs":
+                assert abs(c - exact) <= tol * exact, (gamma_th, i)
+            else:
+                assert exact(c * (1 - Fraction(tol))) < 0 < exact(c * (1 + Fraction(tol))), i
+            checked += 1
+    assert checked > 200
 
 
 def test_outage_ci_definition(default_geom, default_cfg, solved):

@@ -61,6 +61,19 @@ def test_config_rejects_small_epsilon(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("body, where", [
+    ("seed = 1\npu1_x = 1.0\n", "line 2"),
+    # epsilon is given but valid; the collapsed distance comes from pu1_x
+    ("seed = 1\nepsilon = 4\npu1_x = 1.0\n", "line 3"),
+    ("seed = 1\nsu1_x = 0.5\npu1_x = 0.5\n", "line 2, line 3"),
+    ("seed = 1\nepsilon = 1.5\npu1_x = 0.5\n", "line 2"),
+])
+def test_geometry_error_names_the_lines_of_its_keys(tmp_path, body, where):
+    with pytest.raises(ConfigError) as info:
+        load_config(write_cfg(tmp_path, body))
+    assert str(info.value).startswith(f"{where}: invalid geometry: ")
+
+
 def test_config_requires_seed(tmp_path):
     p = write_cfg(tmp_path, "w_db = 10\n")
     with pytest.raises(ConfigError, match="seed"):
