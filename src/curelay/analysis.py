@@ -1,31 +1,32 @@
 """Outage probability (Monte-Carlo and analytic bounds), the SU-side
 upper-bound distribution in closed form, and achievable-rate curves.
 
-Monte-Carlo runs split the trials into fixed-size blocks. Grid points are
-gathered in groups that share one fading draw per block: block i of group k
-draws unit-mean gains from a generator seeded by (seed, k * 1,000,000 + i).
-Scaling h2, g2, f2 by a point's gamma_bar is bitwise what sampling at that
-mean gives. An `outage_mc` sweep is one group, so every point reuses the
-draws of blocks (seed, i); a `rate_curve` point is a group of its own, whose
-block scales its draw in place, and every power policy of the call is
-evaluated on that point's draws. Both kinds of block do their elementwise
-work on slices of `SLICE_DRAWS` draws, which keeps the working set in cache:
-an outage block adds the slices' outage counts, while a rate block packs
-the per-draw terms of each slice's counted draws into block-length arrays
-and forms its floating-point sums over the whole block, so the slice length
-never moves a bit. Each call runs all its blocks through one process pool
-and reduces the partial sums in block order, so results are bit-identical
-for any worker count.
+Monte-Carlo runs split the trials into fixed-size blocks. A sweep is a list
+of groups, each one argument tuple for the block function: block i of group
+k draws unit-mean gains from a generator seeded by (seed, k * 1,000,000 + i),
+and the block function turns that whole block and the group's arguments into
+one flat row of sums. Scaling h2, g2, f2 by a point's gamma_bar is bitwise
+what sampling at that mean gives. An `outage_mc` sweep is one group, so
+every point reuses the draws of blocks (seed, i); a `rate_curve` point is a
+group of its own, whose block scales its draw in place, and every power
+policy of the call is evaluated on that point's draws. Every block function
+slices its own block into `SLICE_DRAWS` draws, which keeps the elementwise
+working set in cache: an outage block adds the slices' integer counts, while
+a rate block packs the per-draw terms of each slice's counted draws into
+block-length arrays and forms its floating-point sums over the whole block,
+so the slice length never moves a bit. Each call runs all its blocks through
+one process pool and sums each group's rows in block order, so results are
+bit-identical for any worker count.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
 while gamma1, gamma3 and gamma4 scale with it, so each draw has a critical
 gamma_bar below which it is in outage, and every grid point is decided by
 one comparison with it. A guard sends a draw through the exact per-point
-path instead (the per-point kernel evaluated at that point's gamma_bar)
-where rounding could tell the two apart: a zero or non-finite gain, a
-near-cancelling P_su1, gamma2 near gamma_th at the BS, or a point within
-`_CRIT_BAND` of the critical value. The counts are therefore bit for bit
+path instead (`sir_sample` at that point's gamma_bar) where rounding could
+tell the two apart: a zero or non-finite gain, a near-cancelling P_su1,
+gamma2 near gamma_th at the BS, or a point within `_CRIT_BAND` of the
+critical value. The counts are therefore bit for bit
 those of the per-point kernel. The dual-route gamma2 check runs on every
 unit-mean slice and on every guard draw.
 
@@ -155,48 +156,34 @@ def _at_mean(draw, cfg):
 
 
 def _run_block(task):
-    block_fn, group, args, seed, stream, n, chunk = task
-    draw = sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n)
-    parts = None
-    for piece in _slices(draw, chunk):
-        sums = block_fn(piece, group, *args)
-        parts = sums if parts is None else [
-            tuple(a + b for a, b in zip(acc, part)) for acc, part in zip(parts, sums)]
-    return parts
+    block_fn, args, seed, stream, n = task
+    return block_fn(sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n), *args)
 
 
-def _sweep(block_fn, args, groups, trials, seed, workers, block_size, chunk=None):
-    """Per PowerConfig of every group in `groups`, in order, the column sums
-    of block_fn(draw, group, *args), which returns one row of sums per
-    PowerConfig of the group from the group's unit-mean draw, over `trials`
-    draws in the block layout of the module docstring. With `chunk`,
-    block_fn runs on consecutive slices of at most `chunk` draws of each
-    block and its sums are added slice by slice, which is exact only for
-    integer sums."""
+def _sweep(block_fn, groups, trials, seed, workers, block_size):
+    """Per argument tuple of `groups`, in order, the column sums of the rows
+    block_fn(draw, *args) returns for the group's unit-mean blocks, over
+    `trials` draws in the block layout of the module docstring."""
     n_full, rem = divmod(trials, block_size)
     sizes = [block_size] * n_full + ([rem] if rem else [])
-    tasks = [(block_fn, group, args, seed, k * 1_000_000 + i, n, chunk or n)
-             for k, group in enumerate(groups) for i, n in enumerate(sizes)]
+    tasks = [(block_fn, args, seed, k * 1_000_000 + i, n)
+             for k, args in enumerate(groups) for i, n in enumerate(sizes)]
     if workers <= 1:
-        parts = [_run_block(t) for t in tasks]
+        rows = [_run_block(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_block, tasks))
+            rows = list(pool.map(_run_block, tasks))
     nb = len(sizes)
-    return [[sum(col) for col in zip(*point)]
-            for k in range(len(groups)) for point in zip(*parts[k * nb:(k + 1) * nb])]
+    return [[sum(col) for col in zip(*rows[k * nb:(k + 1) * nb])] for k in range(len(groups))]
 
 
 def _outage_point(draw, cfg, geom, lam, gamma_th, side):
     """(n_out, n_counted) of `draw`, already at cfg's gamma_bar: the exact
     per-point path."""
+    s = sir_sample(draw, geom, cfg, lam)
     if side == "bs":
-        p_su1 = optimal_power(draw, geom, cfg, lam)
-        _, gamma2, gamma = bs_sir(draw, geom, cfg, p_su1)
-        check_gamma2_routes(draw, geom, cfg, lam, gamma2)
-        counted = (p_su1 > 0) & ~np.isnan(gamma)
+        counted, gamma = (s.p_su1 > 0) & ~np.isnan(s.gamma_bs1), s.gamma_bs1
     else:
-        s = sir_sample(draw, geom, cfg, lam)
         counted, gamma = s.valid, s.gamma_su1
     n_counted = int(np.count_nonzero(counted))
     n_out = int(np.count_nonzero(gamma[counted] < gamma_th))
@@ -235,29 +222,32 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
     return crit, exact
 
 
-def _outage_block(draw, group, geom, lam, gamma_th, side):
-    """(n_out, n_counted) at each PowerConfig of `group` for the unit-mean
-    `draw`: one comparison with each draw's critical gamma_bar decides the
-    draw, except the exact draws and those within _CRIT_BAND of their
-    critical value, which take the exact per-point path."""
-    crit, exact = _critical(draw, replace(group[0], gamma_bar_db=0.0), geom, lam,
-                            gamma_th, side)
-    lo, hi = crit * (1.0 - _CRIT_BAND), crit * (1.0 + _CRIT_BAND)
-    n_decided = int(np.count_nonzero(~np.isnan(crit)))
-    any_exact = bool(exact.any())
-    sums = []
-    for cfg in group:
-        g = cfg.gamma_bar_lin
-        n_out = int(np.count_nonzero(lo > g))
-        n_band = int(np.count_nonzero(hi >= g)) - n_out
-        n_counted = n_decided - n_band
-        if n_band or any_exact:
-            pick = exact | ((lo <= g) & (hi >= g))
-            e_out, e_counted = _outage_point(_at_mean(_select(draw, pick), cfg), cfg, geom,
-                                             lam, gamma_th, side)
-            n_out, n_counted = n_out + e_out, n_counted + e_counted
-        sums.append((n_out, n_counted))
-    return sums
+def _outage_block(draw, configs, geom, lam, gamma_th, side, slice_draws):
+    """n_out and n_counted at each PowerConfig of `configs`, interleaved in
+    one row, for the unit-mean `draw`, counted over its slices of at most
+    `slice_draws` draws. One comparison with each draw's critical gamma_bar
+    decides the draw, except the exact draws and those within _CRIT_BAND of
+    their critical value, which take the exact per-point path."""
+    unit = replace(configs[0], gamma_bar_db=0.0)
+    row = [0] * (2 * len(configs))
+    for piece in _slices(draw, slice_draws):
+        crit, exact = _critical(piece, unit, geom, lam, gamma_th, side)
+        lo, hi = crit * (1.0 - _CRIT_BAND), crit * (1.0 + _CRIT_BAND)
+        n_decided = int(np.count_nonzero(~np.isnan(crit)))
+        any_exact = bool(exact.any())
+        for j, cfg in enumerate(configs):
+            g = cfg.gamma_bar_lin
+            n_out = int(np.count_nonzero(lo > g))
+            n_band = int(np.count_nonzero(hi >= g)) - n_out
+            n_counted = n_decided - n_band
+            if n_band or any_exact:
+                pick = exact | ((lo <= g) & (hi >= g))
+                e_out, e_counted = _outage_point(_at_mean(_select(piece, pick), cfg), cfg, geom,
+                                                 lam, gamma_th, side)
+                n_out, n_counted = n_out + e_out, n_counted + e_counted
+            row[2 * j] += n_out
+            row[2 * j + 1] += n_counted
+    return row
 
 
 def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: float,
@@ -283,10 +273,10 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
     if trials < OUTAGE_MIN_TRIALS:
         raise ValueError(f"trials must be >= {OUTAGE_MIN_TRIALS}")
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
-    sums = _sweep(_outage_block, (geom, lam, gamma_th, side), [configs], trials, seed,
-                  workers, block_size, SLICE_DRAWS)
+    (row,) = _sweep(_outage_block, [(configs, geom, lam, gamma_th, side, SLICE_DRAWS)],
+                    trials, seed, workers, block_size)
     out = []
-    for point, (n_out, n_counted) in zip(configs, sums):
+    for point, n_out, n_counted in zip(configs, row[0::2], row[1::2]):
         p_out = n_out / n_counted if n_counted else math.nan
         ci = 1.96 * math.sqrt(p_out * (1.0 - p_out) / n_counted) if n_counted else math.nan
         if side == "bs":
@@ -375,13 +365,12 @@ def su_outage_closed_form(gamma_th: float, geom: ScenarioGeometry, cfg: PowerCon
     return float(cdf)
 
 
-def _rate_block(draw, group, geom, lam, policies, slice_draws):
+def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
     """Per policy: the sum and the sum of squares of log2(1 + gamma2), the
     sum of 0.5 log2(1 + gamma_bs1), and the count of draws where both are
     finite. The terms of the counted draws are computed slice by slice and
     packed into block-length arrays, so each sum runs over the same array
     as on the whole block and the result does not depend on `slice_draws`."""
-    (cfg,) = group
     draw = _at_mean(draw, cfg)
     n = draw.h2.size
     obj, sq, e2e = np.empty(n), np.empty(n), np.empty(n)
@@ -401,7 +390,7 @@ def _rate_block(draw, group, geom, lam, policies, slice_draws):
             np.divide(0.5 * np.log1p(gbs[valid]), _LN2, out=e2e[m:k])
             m = k
         sums += (float(obj[:m].sum()), float(sq[:m].sum()), float(e2e[:m].sum()), m)
-    return [sums]
+    return sums
 
 
 def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policies,
@@ -427,7 +416,7 @@ def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policies,
     if "optimal" in policies and (lam is None or lam < 0):
         raise ValueError("optimal policy requires a solved water level")
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
-    sums = _sweep(_rate_block, (geom, lam, policies, SLICE_DRAWS), [[c] for c in configs],
+    sums = _sweep(_rate_block, [(c, geom, lam, policies, SLICE_DRAWS) for c in configs],
                   trials, seed, workers, block_size)
     out = []
     for j, policy in enumerate(policies):

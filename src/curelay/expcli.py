@@ -328,11 +328,10 @@ def _validation_rows(cfg: ExperimentConfig):
     bad = np.count_nonzero(eq != (s.p_su1[up] == 0.0))
     check("su-upper-equality-iff-zero-power", float(bad), 0.0)
 
-    sir_hat = symbol_level_oracle(
-        sample_fading(np.random.default_rng(cfg.seed + 1), power), geom, power,
-        level.lam, n_symbols=100_000, rng=np.random.default_rng(cfg.seed + 2))
-    closed = sir_sample(sample_fading(np.random.default_rng(cfg.seed + 1), power),
-                        geom, power, level.lam)
+    one = sample_fading(np.random.default_rng(cfg.seed + 1), power)
+    sir_hat = symbol_level_oracle(one, geom, power, level.lam, n_symbols=100_000,
+                                  rng=np.random.default_rng(cfg.seed + 2))
+    closed = sir_sample(one, geom, power, level.lam)
     rel_bs = abs(sir_hat[0] - closed.gamma_bs1[0]) / closed.gamma_bs1[0]
     rel_su = abs(sir_hat[1] - closed.gamma_su1[0]) / closed.gamma_su1[0]
     check("symbol-oracle-bs-relative", rel_bs, 0.02)
@@ -340,18 +339,9 @@ def _validation_rows(cfg: ExperimentConfig):
     return rows
 
 
-def run_experiment(cmd: str, cfg: ExperimentConfig, out_path: str) -> int:
-    """Run one subcommand and write its CSV. Returns the count of FAILed
-    validation checks (0 for the other subcommands).
-
-    The CSV is written to a temporary file next to `out_path` and moved over
-    it only when complete, so a failed run leaves `out_path` as it was.
-    """
-    if cmd not in SUBCOMMANDS:
-        raise ValueError(f"unknown subcommand {cmd!r}")
-    floor = _TRIAL_FLOORS.get(cmd, 0)
-    if cfg.trials < floor:
-        raise ConfigError(f"trials must be >= {floor} for {cmd}, got {cfg.trials}")
+def _csv_lines(cmd: str, cfg: ExperimentConfig):
+    """The CSV lines of one subcommand and the count of FAILed validation
+    checks (0 for the other subcommands)."""
     header = [f"# seed = {cfg.seed}", f"# trials = {cfg.trials}"]
     failures = 0
     if cmd == "validate":
@@ -375,10 +365,30 @@ def run_experiment(cmd: str, cfg: ExperimentConfig, out_path: str) -> int:
             rows = [(cfg.power.w_db, cfg.power.p_cci_db, level.lam, level.residual,
                      report.as_printed_value, report.consistent_value, cfg.power.w_lin)]
     lines = header + [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return lines, failures
+
+
+def run_experiment(cmd: str, cfg: ExperimentConfig, out_path: str) -> int:
+    """Run one subcommand and write its CSV. Returns the count of FAILed
+    validation checks (0 for the other subcommands).
+
+    The CSV goes to a temporary file next to `out_path`, opened before any
+    work, and is moved over it only when complete, so a failed run leaves
+    `out_path` as it was.
+    """
+    if cmd not in SUBCOMMANDS:
+        raise ValueError(f"unknown subcommand {cmd!r}")
+    floor = _TRIAL_FLOORS.get(cmd, 0)
+    if cfg.trials < floor:
+        raise ConfigError(f"trials must be >= {floor} for {cmd}, got {cfg.trials}")
     tmp = f"{os.fspath(out_path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"--out {os.fspath(out_path)}: cannot write: {exc.strerror}") from None
     try:
         with fh:
+            lines, failures = _csv_lines(cmd, cfg)
             fh.write("\n".join(lines) + "\n")
         os.replace(tmp, out_path)
     except BaseException:

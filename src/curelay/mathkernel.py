@@ -215,8 +215,6 @@ def _f21_series(a, b, c, z):
     term = 1.0
     for k in range(100000):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        if term == 0.0:
-            break
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
@@ -454,31 +452,29 @@ def integrate(f, lo, hi, tol=QUAD_TOL):
 # ---------------------------------------------------------------------------
 
 
-def solve_root_monotone(g, target, tol=ROOT_TOL, lo=0.0, ceiling=None, first_step=1.0):
-    """Solve g(x) = target for a continuous nondecreasing g with g(lo) <= target.
+def solve_root_monotone(g, target, tol=ROOT_TOL, ceiling=None, first_step=1.0):
+    """Solve g(x) = target for x >= 0, for a continuous nondecreasing g with
+    g(0) <= target.
 
-    Bracket by geometric doubling from `lo`, then bisect. Returns x* with
+    Bracket by geometric doubling from 0, then bisect. Returns x* with
     |g(x*) - target| <= tol.rel_tol * max(1, |target|). Raises BracketError
     if no bracket exists below `ceiling`.
     """
     resid_tol = tol.rel_tol * max(1.0, abs(target))
-    glo = g(lo)
-    if glo > target + resid_tol:
-        raise BracketError(
-            f"g(lo)={glo!r} already exceeds target={target!r} at lo={lo!r}")
-    if abs(glo - target) <= resid_tol:
-        return lo
-    step = abs(first_step) if first_step else 1.0
-    hi = lo + step
+    g0 = g(0.0)
+    if g0 > target + resid_tol:
+        raise BracketError(f"g(0)={g0!r} already exceeds target={target!r}")
+    if abs(g0 - target) <= resid_tol:
+        return 0.0
+    hi = abs(first_step) if first_step else 1.0
     ghi = g(hi)
     while ghi < target:
         if ceiling is not None and hi >= ceiling:
             raise BracketError(
                 f"no bracket below ceiling {ceiling!r}: g({hi!r})={ghi!r} < target {target!r}")
-        step *= 2.0
-        hi = lo + step
+        hi *= 2.0
         ghi = g(hi)
-    a, b = lo, hi
+    a, b = 0.0, hi
     x = 0.5 * (a + b)
     for _ in range(tol.max_iter):
         x = 0.5 * (a + b)

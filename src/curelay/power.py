@@ -109,8 +109,8 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
         last, top = (lam, value), max(top, lam)
         return value
 
-    lam = solve_root_monotone(g, w_lin, ROOT_TOL, lo=0.0,
-                              ceiling=CEILING_FACTOR * w_lin, first_step=w_lin)
+    lam = solve_root_monotone(g, w_lin, ROOT_TOL, ceiling=CEILING_FACTOR * w_lin,
+                              first_step=w_lin)
     return WaterLevel(lam=lam, residual=g(lam) - w_lin)
 
 

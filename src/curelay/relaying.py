@@ -86,10 +86,7 @@ def bs_sir(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma1 = derive_etas(geom).eta1 * draw.h2 / draw.u2
         gamma2 = p_su1 * (geom.l ** -e) * draw.g2 / cci
-    gamma_bs1 = _harmonic(gamma1, gamma2, gamma2)
-    # p_su1 == 0 gives gamma2 == 0 -> 0 * g1/(g1) = 0; 0/0 only if gamma1 == 0 too
-    gamma_bs1 = np.where((gamma2 == 0) & (gamma1 > 0), 0.0, gamma_bs1)
-    return gamma1, gamma2, gamma_bs1
+    return gamma1, gamma2, _harmonic(gamma1, gamma2, gamma2)
 
 
 def _su_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1):

@@ -24,8 +24,8 @@ from curelay import (
     solve_water_level,
     su_outage_closed_form,
 )
-from curelay.analysis import (_UNIT_MEAN, _at_mean, _critical, _gamma2_cdf, _outage_block,
-                              _outage_point)
+from curelay.analysis import (_UNIT_MEAN, SLICE_DRAWS, _at_mean, _critical, _gamma2_cdf,
+                              _outage_block, _outage_point)
 from curelay.mathkernel import NumericTolerance, integrate
 from curelay.power import _power_terms
 from curelay.relaying import check_gamma2_routes
@@ -148,14 +148,15 @@ def test_outage_bs_counts_transmitting_draw_with_zero_v2(default_geom, default_c
     s = sir_sample(draw, default_geom, default_cfg, solved)
     assert s.p_su1[0] > 0 and not s.valid[0] and np.isfinite(s.gamma_bs1[0])
     at_mean = [replace(default_cfg, gamma_bar_db=0.0)]  # the draw is used as given
-    assert _outage_block(draw, at_mean, default_geom, solved, 3.0, "bs")[0][1] == 1
-    assert _outage_block(draw, at_mean, default_geom, solved, 3.0, "su")[0][1] == 0
+    assert _outage_block(draw, at_mean, default_geom, solved, 3.0, "bs", SLICE_DRAWS)[1] == 1
+    assert _outage_block(draw, at_mean, default_geom, solved, 3.0, "su", SLICE_DRAWS)[1] == 0
 
 
 def _per_point(draw, group, geom, lam, gamma_th, side):
-    """(n_out, n_counted) at each point of `group` by the exact per-point path."""
-    return [_outage_point(_at_mean(copy.deepcopy(draw), cfg), cfg, geom, lam, gamma_th, side)
-            for cfg in group]
+    """n_out and n_counted at each point of `group`, interleaved in one row,
+    by the exact per-point path."""
+    return [n for cfg in group for n in _outage_point(_at_mean(copy.deepcopy(draw), cfg), cfg,
+                                                      geom, lam, gamma_th, side)]
 
 
 @pytest.mark.parametrize("side", ["bs", "su"])
@@ -167,8 +168,21 @@ def test_outage_degenerate_draws_match_per_point_kernel(default_geom, default_cf
         getattr(draw, name)[i] = 0.0
     group = [replace(default_cfg, gamma_bar_db=g) for g in (-10.0, 0.0, 20.0, 40.0)]
     for gamma_th in (0.0, 0.5, 3.0):
-        assert (_outage_block(draw, group, default_geom, solved, gamma_th, side)
+        assert (_outage_block(draw, group, default_geom, solved, gamma_th, side, SLICE_DRAWS)
                 == _per_point(draw, group, default_geom, solved, gamma_th, side))
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_outage_block_rows_do_not_depend_on_slice_length(default_geom, default_cfg, solved,
+                                                         side):
+    # a zero in each gain in turn, so the exact path runs inside the slices too
+    draw = sample_fading(np.random.default_rng(11), _UNIT_MEAN, 50)
+    for i, name in enumerate(("h2", "g2", "f2", "u2", "v2", "w2")):
+        getattr(draw, name)[i] = 0.0
+    group = [replace(default_cfg, gamma_bar_db=g) for g in (-10.0, 0.0, 20.0, 40.0)]
+    rows = [_outage_block(draw, group, default_geom, solved, 3.0, side, n) for n in (1, 7, 50)]
+    assert rows[0] == rows[1] == rows[2] == _per_point(draw, group, default_geom, solved, 3.0,
+                                                       side)
 
 
 @pytest.mark.parametrize("side", ["bs", "su"])
@@ -185,7 +199,7 @@ def test_outage_point_on_a_critical_value_matches_per_point_kernel(default_geom,
         assert not exact.any() and len(group) == 4
         assert all(abs(cfg.gamma_bar_lin - c) <= 1e-3 * curelay.analysis._CRIT_BAND * c
                    for cfg, c in zip(group, on))
-        assert (_outage_block(draw, group, default_geom, solved, gamma_th, side)
+        assert (_outage_block(draw, group, default_geom, solved, gamma_th, side, SLICE_DRAWS)
                 == _per_point(draw, group, default_geom, solved, gamma_th, side))
 
 

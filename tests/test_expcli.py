@@ -404,6 +404,19 @@ def test_validate_passes_at_equal_pu4_distances(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+def test_out_in_missing_directory_is_rejected_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output path was opened")
+
+    monkeypatch.setattr(curelay.expcli, "solve_water_level", no_solve)
+    cfgp = write_cfg(tmp_path, FAST_BODY)
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert main(["outage-bs", "--config", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ") and ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [cfgp.name]
+
+
 def test_failed_run_keeps_existing_output(tmp_path):
     out = tmp_path / "kept.csv"
     out.write_bytes(b"written by someone else\n")
