@@ -381,6 +381,8 @@ def run_experiment(cmd: str, cfg: ExperimentConfig, out_path: str) -> int:
     floor = _TRIAL_FLOORS.get(cmd, 0)
     if cfg.trials < floor:
         raise ConfigError(f"trials must be >= {floor} for {cmd}, got {cfg.trials}")
+    if os.path.isdir(out_path):
+        raise ConfigError(f"--out {os.fspath(out_path)}: is a directory")
     tmp = f"{os.fspath(out_path)}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, "x", encoding="utf-8", newline="\n")

@@ -6,7 +6,9 @@ routines (exp_e1, tricomi_psi11) also accept numpy arrays. Their continued
 fraction iterates in numpy over the elements not yet converged, dropping each
 as it stops, and finishes the last few on Python floats; each element gets
 the same bits whatever array it is evaluated in. The quadrature evaluates the
-integrand once per split, on the abscissae of both new panels.
+integrand on the abscissae of both new panels of a split, and can take the
+panel tree of an earlier run as a plan: the integrand is then evaluated on
+all planned panels in a few large calls first, with the same result.
 """
 
 from __future__ import annotations
@@ -93,9 +95,11 @@ def _e1_series(x):
 # Below this many unconverged elements the continued fraction finishes them
 # one by one on Python floats. Measured on a 2-vCPU x86-64 host, numpy 2.4:
 # one numpy step costs ~15 us at any small size, one Python-float step
-# ~0.35 us per element, so the two cross near 40 elements; default-config
-# water-level solves took the same time for counts of 16 to 128 and 1.5x
-# longer at 8.
+# ~0.35 us per element, so the two cross near 40 elements. With the
+# water-level quadratures replaying their panel trees (calls of ~60 to
+# ~4,000 Psi arguments), six solves over W = -10..60 dB took 0.60 s at 32,
+# 0.59 s at 64, 0.64 s at 16 and 128, and 0.67-0.69 s at 8 and 256 (medians
+# of 7 interleaved runs).
 _PSI_CF_SCALAR_TAIL = 32
 
 
@@ -380,29 +384,71 @@ def _gk15_reduce(fx, a, b):
     return k, err
 
 
-def _gk15_halves(f, a, m, b):
-    """The panels [a, m] and [m, b] from one integrand call on their 30
-    abscissae: ((kronrod, error) left, (kronrod, error) right)."""
-    fx = np.asarray(f(np.concatenate([_gk15_nodes(a, m), _gk15_nodes(m, b)])), dtype=float)
-    return _gk15_reduce(fx[:15], a, m), _gk15_reduce(fx[15:], m, b)
+def _gk15_halves(a, m, b):
+    """The 30 Kronrod abscissae of the panels [a, m] and [m, b]."""
+    return np.concatenate([_gk15_nodes(a, m), _gk15_nodes(m, b)])
+
+
+# Most abscissae one replay call hands the integrand: large enough that call
+# overhead vanishes, small enough that the integrand's temporaries stay small.
+_REPLAY_CHUNK = 2048
+
+
+def _replay(g, a, b, plan):
+    """Integrand values on the root panel [a, b] and, in chunks of at most
+    _REPLAY_CHUNK abscissae, on both halves of every planned split that the
+    plan itself reaches from the root: (root values, {id: 30 values}).
+
+    Panel k's halves are panels 2k and 2k+1, with the endpoints the adaptive
+    loop computes, so a replayed value is the one the loop would compute.
+    The values are copies, so that unused ones do not keep every chunk alive.
+    """
+    bounds = {1: (a, b)}
+    ids, pieces = [], [_gk15_nodes(a, b)]
+    for k in sorted(plan):
+        if k in bounds:
+            pa, pb = bounds.pop(k)
+            pm = 0.5 * (pa + pb)
+            bounds[2 * k], bounds[2 * k + 1] = (pa, pm), (pm, pb)
+            ids.append(k)
+            pieces.append(_gk15_halves(pa, pm, pb))
+    step = _REPLAY_CHUNK // 30
+    fx = np.concatenate([np.asarray(g(np.concatenate(pieces[i:i + step])), dtype=float)
+                         for i in range(0, len(pieces), step)])
+    return fx[:15].copy(), {k: fx[15 + 30 * j:45 + 30 * j].copy() for j, k in enumerate(ids)}
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """The estimate, its error bound, the panel count, and the heap ids of the
+    panels the run split (root 1; panel k splits into 2k and 2k+1)."""
+
     value: float
     error_bound: float
     panels: int
+    splits: frozenset = frozenset()
 
 
-def integrate(f, lo, hi, tol=QUAD_TOL):
+def integrate(f, lo, hi, tol=QUAD_TOL, plan=()):
     """Adaptive Gauss-Kronrod quadrature of a vectorized integrand over
     [lo, hi], lo finite and hi > lo finite or +inf.
 
     `f` must accept a numpy array of abscissae and return the integrand
-    values elementwise. hi = +inf is mapped onto [0, 1) by x = lo + t/(1-t).
-    lo == hi gives 0; any other range raises ValueError. Deterministic for
-    fixed inputs. Raises IntegrationError (carrying the partial estimate) if
-    the tolerance is not met within tol.max_iter panel subdivisions.
+    values elementwise, each value depending only on its own abscissa.
+    hi = +inf is mapped onto [0, 1) by x = lo + t/(1-t). lo == hi gives 0;
+    any other range raises ValueError. Deterministic for fixed inputs.
+    Raises IntegrationError (carrying the partial estimate) if the tolerance
+    is not met within tol.max_iter panel subdivisions.
+
+    `plan` is a collection of panel heap ids, typically the `splits` of an
+    earlier run on a similar integrand. Before the adaptive loop, the
+    integrand is evaluated in a few large calls on the root panel and on the
+    halves of every planned split; the loop then takes those values and
+    evaluates each split outside the plan as it comes. The loop itself (heap
+    order, stop test, max_iter) does not look at the plan, so for an
+    elementwise integrand the result is identical, bit for bit, with any
+    plan; a good plan only saves integrand calls, a bad one costs the
+    evaluations of the splits that never happen.
     """
     lo, hi = float(lo), float(hi)
     if lo == hi:
@@ -416,35 +462,54 @@ def integrate(f, lo, hi, tol=QUAD_TOL):
         a, b = 0.0, 1.0
     else:
         g, a, b = f, lo, hi
-    val, err = _gk15_reduce(np.asarray(g(_gk15_nodes(a, b)), dtype=float), a, b)
-    heap = [(-err, 0, a, b, val, err)]
+    result = _adapt(g, a, b, tol, plan)
+    if _converged(result.value, result.error_bound, tol):
+        return result
+    raise IntegrationError(
+        f"quadrature did not converge within {tol.max_iter} subdivisions",
+        result.value, result.error_bound)
+
+
+def _converged(value, error, tol):
+    return error <= max(tol.abs_tol, tol.rel_tol * abs(value))
+
+
+def _adapt(g, a, b, tol, plan):
+    """The adaptive loop of `integrate` on a finite [a, b]: its estimate
+    whether or not it converged. Kept apart so that a raised
+    IntegrationError does not keep the panel heap alive."""
+    root, planned = _replay(g, a, b, plan)
+    val, err = _gk15_reduce(root, a, b)
+    heap = [(-err, 0, a, b, val, err, 1)]
     total_val, total_err = val, err
     counter = 1
+    splits = []
     min_width = 1e-14 * (b - a)
     for _ in range(tol.max_iter):
-        if total_err <= max(tol.abs_tol, tol.rel_tol * abs(total_val)):
-            return QuadratureResult(total_val, total_err, counter)
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
+        if _converged(total_val, total_err, tol):
+            break
+        neg_err, _, pa, pb, pval, perr, k = heapq.heappop(heap)
         if pb - pa <= min_width:
             # cannot subdivide further (integrable endpoint singularity);
             # keep the panel's contribution as is
-            heapq.heappush(heap, (0.0, counter, pa, pb, pval, perr))
+            heapq.heappush(heap, (0.0, counter, pa, pb, pval, perr, k))
             counter += 1
             if all(item[0] == 0.0 for item in heap):
                 break
             continue
         pm = 0.5 * (pa + pb)
-        (v1, e1), (v2, e2) = _gk15_halves(g, pa, pm, pb)
+        fx = planned.pop(k, None)
+        if fx is None:
+            fx = np.asarray(g(_gk15_halves(pa, pm, pb)), dtype=float)
+        v1, e1 = _gk15_reduce(fx[:15], pa, pm)
+        v2, e2 = _gk15_reduce(fx[15:], pm, pb)
         total_val += v1 + v2 - pval
         total_err += e1 + e2 - perr
-        heapq.heappush(heap, (-e1, counter, pa, pm, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, pm, pb, v2, e2))
+        heapq.heappush(heap, (-e1, counter, pa, pm, v1, e1, 2 * k))
+        heapq.heappush(heap, (-e2, counter + 1, pm, pb, v2, e2, 2 * k + 1))
         counter += 2
-    if total_err <= max(tol.abs_tol, tol.rel_tol * abs(total_val)):
-        return QuadratureResult(total_val, total_err, counter)
-    raise IntegrationError(
-        f"quadrature did not converge within {tol.max_iter} subdivisions",
-        total_val, total_err)
+        splits.append(k)
+    return QuadratureResult(total_val, total_err, counter, frozenset(splits))
 
 
 # ---------------------------------------------------------------------------

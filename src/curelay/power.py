@@ -9,6 +9,8 @@ by bracketing bisection (the left side is continuous and nondecreasing in
 lam). Bisection steps far from the root are steered by the closed-form
 reduction of the same expectation while it matches the quadrature; every
 step near the root, and the returned lam and residual, use the quadrature.
+Each quadrature of a solve replays the panel tree of the one before it, so
+the integrand is evaluated in a few large calls; the bits do not change.
 The per-draw optimal transmit power is then
 
     P_su1 = max(0, lam/(d^-eps f2) - P (q^-eps u2 + r^-eps v2)/(l^-eps g2)).
@@ -58,8 +60,14 @@ class WaterLevel:
     residual: float
 
 
-def constraint_lhs(lam: float, geom: ScenarioGeometry, cfg: PowerConfig) -> float:
-    """E[(lam - eta4 P T)^+] = int_0^{lam/(eta4 P)} (lam - eta4 P x) f_T(x) dx."""
+def constraint_lhs(lam: float, geom: ScenarioGeometry, cfg: PowerConfig,
+                   plan: set | None = None) -> float:
+    """E[(lam - eta4 P T)^+] = int_0^{lam/(eta4 P)} (lam - eta4 P x) f_T(x) dx.
+
+    `plan`, if given, is a set of quadrature panel ids: the quadrature
+    replays it (see `integrate`) and it is then replaced by this quadrature's
+    own splits, ready for the next lam. The value does not depend on it.
+    """
     if lam <= 0.0:
         return 0.0
     et = derive_etas(geom)
@@ -69,7 +77,11 @@ def constraint_lhs(lam: float, geom: ScenarioGeometry, cfg: PowerConfig) -> floa
         pdf, _ = dist_t(x, geom)
         return (lam - b * x) * pdf
 
-    return integrate(integrand, 0.0, lam / b, QUAD_TOL).value
+    result = integrate(integrand, 0.0, lam / b, QUAD_TOL, plan=plan or ())
+    if plan is not None:
+        plan.clear()
+        plan.update(result.splits)
+    return result.value
 
 
 def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
@@ -84,12 +96,19 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
     q == r and at very small lam/(eta4 P) it cancels, and the solve then
     integrates every step. Bracketing steps lie above every lam integrated
     before them, so a quadrature failure there is raised as before.
+
+    Each quadrature replays the panel tree of the solve's previous one: near
+    the root lam moves little, the trees nearly coincide, and the integrand
+    is evaluated in a few large calls instead of once per split. Values, and
+    so lam, its residual and any failure, are the same bits as without the
+    replay.
     """
     w_lin = cfg.w_lin
     resid_tol = ROOT_TOL.rel_tol * max(1.0, w_lin)
     last = (None, None)  # the last (lam, quadrature); the root finder ends on its root
     top = 0.0  # the largest lam integrated
     screen = True
+    plan = set()  # the panels the last quadrature split
 
     def tol(value):
         return QUAD_TOL.rel_tol * abs(value) + resid_tol
@@ -103,7 +122,7 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
             c = _closed_form_value(lam, geom, cfg, gamma_scaled=False)
             if lam < top and abs(c - w_lin) > _SCREEN_MARGIN * tol(c):
                 return c
-        value = constraint_lhs(lam, geom, cfg)
+        value = constraint_lhs(lam, geom, cfg, plan=plan)
         if c is not None:
             screen = abs(value - c) <= tol(c)
         last, top = (lam, value), max(top, lam)
@@ -132,10 +151,10 @@ class ClosedFormReport:
     consistent_residual: float
 
 
-def _m_reduction(z):
-    """(z^2 - z + 1) Psi(1,1,z) - z + ln z + gamma; primitive of the
-    x * f_T moment integral expressed per exponential-rate component."""
-    return (z * z - z + 1.0) * tricomi_psi11(z) - z + math.log(z) + EULER_GAMMA
+def _m_reduction(z, psi):
+    """(z^2 - z + 1) Psi(1,1,z) - z + ln z + gamma, given psi = Psi(1,1,z);
+    primitive of the x * f_T moment integral per exponential-rate component."""
+    return (z * z - z + 1.0) * psi - z + math.log(z) + EULER_GAMMA
 
 
 def _cdf_t_integral_limit(a, x):
@@ -157,9 +176,11 @@ def _closed_form_value(lam, geom, cfg, gamma_scaled):
         first = lam * cdf
         moment = x * cdf - _cdf_t_integral_limit(et.q_eps, x)
     else:
-        first = lam * et.c1 * x * (tricomi_psi11(et.q_eps * x) - tricomi_psi11(et.r_eps * x))
-        moment = et.c1 * (et.q_eps ** -2 * _m_reduction(et.q_eps * x)
-                          - et.r_eps ** -2 * _m_reduction(et.r_eps * x))
+        qx, rx = et.q_eps * x, et.r_eps * x
+        psi_q, psi_r = tricomi_psi11(qx), tricomi_psi11(rx)
+        first = lam * et.c1 * x * (psi_q - psi_r)
+        moment = et.c1 * (et.q_eps ** -2 * _m_reduction(qx, psi_q)
+                          - et.r_eps ** -2 * _m_reduction(rx, psi_r))
     if gamma_scaled:
         first *= 1.0 - 1.0 / gbar
     return first - b * moment

@@ -417,6 +417,23 @@ def test_out_in_missing_directory_is_rejected_before_any_work(tmp_path, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == [cfgp.name]
 
 
+def test_out_naming_a_directory_is_rejected_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(curelay.expcli, "solve_water_level", no_solve)
+    cfgp = write_cfg(tmp_path, FAST_BODY)
+    out = tmp_path / "results"
+    out.mkdir()
+    (out / "kept.csv").write_bytes(b"written by someone else\n")
+    assert main(["water-level", "--config", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out}: is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([cfgp.name, "results"])
+    assert [p.name for p in out.iterdir()] == ["kept.csv"]
+    assert (out / "kept.csv").read_bytes() == b"written by someone else\n"
+
+
 def test_failed_run_keeps_existing_output(tmp_path):
     out = tmp_path / "kept.csv"
     out.write_bytes(b"written by someone else\n")

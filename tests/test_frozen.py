@@ -19,7 +19,7 @@ import pytest
 
 import curelay.power as power
 from curelay import dist_su_upper, dist_t, load_config, solve_water_level, tricomi_psi11
-from curelay.mathkernel import QUAD_TOL, ROOT_TOL, IntegrationError
+from curelay.mathkernel import QUAD_TOL, ROOT_TOL, BracketError, IntegrationError
 
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
 
@@ -127,8 +127,8 @@ def solved(cfg, placements):
     outcomes, quadratures = {}, []
     inner = power.constraint_lhs
 
-    def recording(lam, geom, pw):
-        value = inner(lam, geom, pw)
+    def recording(lam, geom, pw, plan=None):
+        value = inner(lam, geom, pw, plan=plan)
         quadratures.append((lam, value, geom, pw))
         return value
 
@@ -246,6 +246,85 @@ def test_solve_integrates_once_per_evaluation(cfg, monkeypatch):
     level = solve_water_level(cfg.geometry, cfg.power)
     assert len(results) == 16
     assert level.residual == results[-1].value - cfg.power.w_lin
+
+
+# power._closed_form_value(lam, geom, default power, gamma_scaled) as float.hex
+# per placement: (lam, False), (lam, True) for lam = 0.01, 6.352523596031743
+# and 1e4; "near_qr" moves PU4 a relative 1e-4 from equidistant
+CLOSED_FORM_BITS = {
+    "default": ("0x1.5f9d23b982183p-15", "0x1.77fce6e64d790p-24", "0x1.94c583adff09ap+1",
+                "0x1.14f055a3ee137p-5", "0x1.37964c93d1913p+13", "0x1.d9b66f18ad25fp+12"),
+    "near_qr": ("0x1.aa7f7fc98185fp-15", "0x1.c1b4dca9a37cfp-24", "0x1.e8504f9ef1766p+1",
+                "0x1.4fe20227e3685p-5", "0x1.3800d60fa2bf6p+13", "0x1.09259c7872e66p+13"),
+}
+
+
+@pytest.mark.parametrize("placement", list(CLOSED_FORM_BITS))
+def test_closed_form_bits_and_psi_calls(cfg, placement, monkeypatch):
+    # the q != r branch evaluates Psi(1,1,.) once per rate component
+    geom = cfg.geometry if placement == "default" else replace(
+        cfg.geometry, q=0.8, r=0.8 * (1.0 + 1e-4))
+    calls = []
+    inner = power.tricomi_psi11
+
+    def counting(x):
+        calls.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(power, "tricomi_psi11", counting)
+    values = tuple(power._closed_form_value(lam, geom, cfg.power, gamma_scaled=gs).hex()
+                   for lam in (0.01, 6.352523596031743, 1e4) for gs in (False, True))
+    assert values == CLOSED_FORM_BITS[placement]
+    assert len(calls) == 2 * len(values)
+
+
+def _solve_bits(geom, pw):
+    """lam and residual as float.hex, or the failure with its partial estimate."""
+    try:
+        level = solve_water_level(geom, pw)
+    except (BracketError, IntegrationError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "partial", None),
+                getattr(exc, "error_bound", None))
+    return level.lam.hex(), level.residual.hex()
+
+
+# the default placement's WATER_LEVELS points, the q == r placement, the
+# corner (IntegrationError at the first bracketing step) and the seed-522
+# point (BracketError after a full bisection)
+REPLAY_POINTS = [("default", p) for p in WATER_LEVELS] + [
+    ("equal_qr", None),
+    ("default", (43.20, -25.83)),
+    ("default", (39.73583632597491, -23.993417468946063)),
+]
+
+
+@pytest.mark.parametrize("key", REPLAY_POINTS, ids=str)
+def test_replayed_solve_matches_planless_solve(placements, key, monkeypatch):
+    c = placements[key[0]]
+    geom, pw = c.geometry, _power(c, key[1])
+    planned = _solve_bits(geom, pw)
+    inner = power.constraint_lhs
+    monkeypatch.setattr(power, "constraint_lhs",
+                        lambda lam, geom, pw, plan=None: inner(lam, geom, pw))
+    assert planned == _solve_bits(geom, pw)
+
+
+def test_replayed_solve_makes_few_integrand_calls(cfg, monkeypatch):
+    # one dist_t call per integrand call: 224 when every split called the
+    # integrand, 30 when each quadrature replays its predecessor's panels
+    calls = []
+    inner = power.dist_t
+
+    def counting(x, geom):
+        calls.append(np.size(x))
+        return inner(x, geom)
+
+    monkeypatch.setattr(power, "dist_t", counting)
+    results = _recording_integrate(monkeypatch)
+    solve_water_level(cfg.geometry, cfg.power)
+    assert len(results) == 16
+    assert len(calls) <= 50
+    assert sum(calls) >= 15 * sum(r.panels for r in results)
 
 
 @pytest.mark.parametrize("key", list(SU_UPPER_DIGESTS), ids=str)

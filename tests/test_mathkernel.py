@@ -267,6 +267,69 @@ def test_integrate_deterministic():
     assert a.value == b.value and a.error_bound == b.error_bound
 
 
+def _peak(t):
+    return 1.0 / (1e-4 + (t - 0.3) ** 2)
+
+
+# elementwise integrands: a plan must not move a bit of their results
+REPLAY_CASES = {
+    "peak": (_peak, 0.0, 2.0, TIGHT),
+    "log singularity": (np.log, 0.0, 1.0, NumericTolerance(1e-10, 1e-12, 4000)),
+    "oscillating tail": (lambda t: np.exp(-t) * np.cos(3 * t), 0.0, math.inf, TIGHT),
+    "budget exhausted": (lambda t: np.sin(1.0 / t) / np.sqrt(t), 0.0, 1.0,
+                         NumericTolerance(1e-14, 1e-300, 40)),
+}
+
+
+def _outcome(case, plan=()):
+    f, lo, hi, tol = REPLAY_CASES[case]
+    try:
+        r = integrate(f, lo, hi, tol, plan=plan)
+    except IntegrationError as exc:
+        return str(exc), exc.partial.hex(), exc.error_bound.hex()
+    return r.value.hex(), r.error_bound.hex(), r.panels, r.splits
+
+
+@pytest.mark.parametrize("case", list(REPLAY_CASES))
+def test_integrate_result_does_not_depend_on_the_plan(case):
+    base = _outcome(case)
+    f, lo, hi, tol = REPLAY_CASES[case]
+    try:
+        own = integrate(f, lo, hi, tol).splits
+    except IntegrationError:
+        own = frozenset(range(1, 64))
+    plans = {
+        "over-predicting": own | set(range(1, 256)) | {2 * k for k in own},
+        "under-predicting": sorted(own)[::2],
+        "another integrand's": integrate(_peak, 0.0, 2.0, TIGHT).splits if case != "peak"
+        else integrate(np.log, 0.0, 1.0, REPLAY_CASES["log singularity"][3]).splits,
+        "unreachable ids": {0, -3, 2 ** 80},
+    }
+    for name, plan in plans.items():
+        assert _outcome(case, plan) == base, name
+
+
+def test_integrate_replays_its_plan_in_few_calls():
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return _peak(t)
+
+    base = integrate(f, 0.0, 2.0, TIGHT)
+    n = len(base.splits)
+    assert 0 < n <= 67 and sizes == [15] + [30] * n
+    # the run's own plan: one call on every abscissa the run needs
+    sizes.clear()
+    again = integrate(f, 0.0, 2.0, TIGHT, plan=base.splits)
+    assert sizes == [15 + 30 * n] and again == base
+    # a large plan goes in calls of at most 2048 abscissae
+    sizes.clear()
+    integrate(f, 0.0, 2.0, TIGHT, plan=range(1, 256))
+    assert sizes[:4] == [15 + 30 * 67, 30 * 68, 30 * 68, 30 * 52]
+    assert max(sizes) <= 2048
+
+
 # ---------------------------------------------------------------------------
 # solve_root_monotone
 # ---------------------------------------------------------------------------
