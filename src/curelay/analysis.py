@@ -319,29 +319,19 @@ def outage_bs_bounds(gamma_th: float, geom: ScenarioGeometry, cfg: PowerConfig,
     return combined(gamma_th), combined(2.0 * gamma_th)
 
 
-def _su_upper_scalar(x, e2, e3):
-    """(pdf, cdf) of the SU-side upper-bound SIR at one x > 0; both share w
-    and 2F1(2,2;3;1-w)."""
-    w = x * x / ((x + e2) * (x + e3))
-    if w <= 0.5:
-        h223 = gauss_2f1_near_unit(2, 2, 3, w)
-        h334 = gauss_2f1_near_unit(3, 3, 4, w)
-    else:
-        h223 = gauss_2f1(2, 2, 3, 1.0 - w)
-        h334 = gauss_2f1(3, 3, 4, 1.0 - w)
-    da = (x + e2) * (x + e3)
-    t1 = e2 * e3 * x * (x * x - e2 * e3) / da**3 * h223
-    t2 = 2.0 * e2 * e3 * x**3 * (x * (e2 + e3) + 2.0 * e2 * e3) / (3.0 * da**4) * h334
-    pref = e2 * e3 * x * x / (2.0 * (x + e2) ** 2 * (x + e3) ** 2)
-    return t1 + t2, 1.0 - pref * h223
-
-
 def dist_su_upper(x, geom: ScenarioGeometry, cfg: PowerConfig):
-    """pdf/cdf of the SU-side upper-bound SIR gamma3*gamma4/(gamma3+gamma4).
+    """pdf/cdf of the SU-side upper-bound SIR gamma3*gamma4/(gamma3+gamma4),
+    evaluated over the whole array.
 
-    Closed form in terms of 2F1(2,2;3;.) and 2F1(3,3;4;.), with the
-    hypergeometric argument's distance to 1 computed directly so the pole
-    cancellation at small x stays numerically exact.
+    With b = e/(x+e) for e = e2, e3, w = x^2/((x+e2)(x+e3)) and z = 1 - w:
+        cdf = 1 - (b2 b3 w / 2) 2F1(2,2;3;z)
+        pdf = (b2 b3 w / x) [(w - b2 b3) 2F1(2,2;3;z)
+                             + (2/3) w (b2 + b3) 2F1(3,3;4;z)].
+    Where w <= 0.5 the kernel takes w itself, so the pole cancellation at
+    small x stays numerically exact, and since the two pdf terms there
+    cancel to a part in e/x, the pdf takes the equal form
+        (b2 b3 / z^2) [(1/(x+e2) + 1/(x+e3))(1 + w) - (w/x)(4 + 2 b2 b3 ln(w) / z)],
+    whose terms do not. No intermediate overflows at any finite x.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and not (arr > 0).all():
@@ -349,9 +339,27 @@ def dist_su_upper(x, geom: ScenarioGeometry, cfg: PowerConfig):
     et = derive_etas(geom)
     e2 = et.eta2 * cfg.gamma_bar_lin
     e3 = et.eta3 * cfg.gamma_bar_lin
-    flat = np.atleast_1d(arr)
-    pairs = np.array([_su_upper_scalar(v, e2, e3) for v in flat.ravel()]).reshape(-1, 2)
-    pdf, cdf = (np.ascontiguousarray(col).reshape(flat.shape) for col in pairs.T)
+    x = np.atleast_1d(arr)
+    b2, b3 = e2 / (x + e2), e3 / (x + e3)
+    bb = b2 * b3
+    # below the smallest normal float, w moves no term of either law by a
+    # rounding, and keeping it there keeps ln w and 1/w finite
+    w = np.maximum((x / (x + e2)) * (x / (x + e3)), np.finfo(float).tiny)
+    h223, pdf = np.empty_like(x), np.empty_like(x)
+    lo = w <= 0.5
+    xl, wl, bl = x[lo], w[lo], bb[lo]
+    zl = 1.0 - wl
+    h223[lo] = gauss_2f1_near_unit(2, 2, 3, wl)
+    w_over_x = (xl / (xl + e2)) / (xl + e3)
+    pdf[lo] = bl / (zl * zl) * ((1.0 / (xl + e2) + 1.0 / (xl + e3)) * (1.0 + wl)
+                                - w_over_x * (4.0 + 2.0 * bl * np.log(wl) / zl))
+    hi = ~lo
+    xh, wh, bh = x[hi], w[hi], bb[hi]
+    h223[hi] = gauss_2f1(2, 2, 3, 1.0 - wh)
+    h334 = gauss_2f1(3, 3, 4, 1.0 - wh)
+    pdf[hi] = bh * wh / xh * ((wh - bh) * h223[hi]
+                              + (2.0 / 3.0) * wh * (b2[hi] + b3[hi]) * h334)
+    cdf = 1.0 - 0.5 * bb * (w * h223)
     if arr.ndim == 0:
         return float(pdf[0]), float(cdf[0])
     return pdf, cdf

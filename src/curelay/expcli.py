@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import OUTAGE_MIN_TRIALS, RATE_MIN_TRIALS, outage_mc, rate_curve
+from .analysis import (OUTAGE_MIN_TRIALS, RATE_MIN_TRIALS, dist_su_upper, outage_mc,
+                       rate_curve)
 from .channels import (PowerConfig, ScenarioGeometry, derive_etas, dist_t, dist_v3,
                        sample_fading)
 from .mathkernel import (
@@ -27,7 +28,6 @@ from .mathkernel import (
     IntegrationError,
     NumericTolerance,
     exp_e1,
-    gauss_2f1,
     integrate,
     tricomi_psi11,
 )
@@ -202,21 +202,25 @@ def _build_config(given):
 
 def _read_config(path):
     """A config file's `key -> (text, "line N")` map; unknown or repeated keys raise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     given = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            where = f"line {lineno}"
-            if "=" not in text:
-                raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = (part.strip() for part in text.partition("="))
-            if key not in _DEFAULTS and key != "seed":
-                raise ConfigError(f"{where}: unknown key {key!r}")
-            if key in given:
-                raise ConfigError(f"{where}: duplicate key {key!r} (first on {given[key][1]})")
-            given[key] = (value, where)
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        where = f"line {lineno}"
+        if "=" not in text:
+            raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = (part.strip() for part in text.partition("="))
+        if key not in _DEFAULTS and key != "seed":
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in given:
+            raise ConfigError(f"{where}: duplicate key {key!r} (first on {given[key][1]})")
+        given[key] = (value, where)
     return given
 
 
@@ -275,21 +279,19 @@ def _validation_rows(cfg: ExperimentConfig):
                     - tricomi_psi11(x)) / tricomi_psi11(x) for x in xs)
     check("psi11-vs-quadrature", worst, 1e-10)
 
-    def f223(z):
-        w = 1.0 - z
-        return (2.0 / z**2) * (z / w + math.log(w))
-
-    def f334(z):
-        w = 1.0 - z
-        return (3.0 / z**3) * (1.5 + 0.5 / w**2 - 2.0 / w - math.log(w))
-
-    # the closed forms are ill-conditioned near z = 0; stay away from it
-    zs = np.concatenate([np.linspace(-5.0, -0.1, 8), 1.0 - np.geomspace(1e-8, 0.9, 8)])
-    worst = max(max(abs(gauss_2f1(2, 2, 3, z) - f223(z)) / abs(f223(z)),
-                    abs(gauss_2f1(3, 3, 4, z) - f334(z)) / abs(f334(z))) for z in zs)
-    check("2f1-vs-closed-form", worst, 1e-10)
-
+    # the SU upper-bound tail 1 - F(g) = int_g^inf P(gamma3 > g t/(t-g)) f4(t) dt,
+    # across both 2F1 branches (w <= 0.5 and above)
     et = derive_etas(geom)
+    e2, e3 = et.eta2 * power.gamma_bar_lin, et.eta3 * power.gamma_bar_lin
+    worst = 0.0
+    for g in np.geomspace(1e-2, 1e2, 9) * math.sqrt(e2 * e3):
+        def tail(t):
+            return (e2 / (g * t / (t - g) + e2)) * (e3 / (t + e3) ** 2)
+        ref = integrate(tail, g, math.inf, tight).value
+        _, cdf = dist_su_upper(g, geom, power)
+        worst = max(worst, abs(1.0 - cdf - ref) / ref)
+    check("su-tail-vs-quadrature", worst, 1e-8)
+
     worst = 0.0
     for x in (0.1, 1.0, 7.0, 50.0):
         def inner(y):

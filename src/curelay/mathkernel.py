@@ -1,19 +1,20 @@
-"""Numerical kernel: exponential-integral family, Gauss hypergeometric for small
-integer parameters, adaptive Gauss-Kronrod quadrature, and a monotone root finder.
+"""Numerical kernel: exponential-integral family, the Gauss hypergeometric
+functions 2F1(2,2;3;z) and 2F1(3,3;4;z), adaptive Gauss-Kronrod quadrature,
+and a monotone root finder.
 
 Everything here is pure and stateless; all routines accept scalars, the array
-routines (exp_e1, tricomi_psi11) also accept numpy arrays. Their continued
-fraction iterates in numpy over the elements not yet converged, dropping each
-as it stops, and finishes the last few on Python floats; each element gets
-the same bits whatever array it is evaluated in. The quadrature evaluates the
-integrand on the abscissae of both new panels of a split, and can take the
-panel tree of an earlier run as a plan: the integrand is then evaluated on
-all planned panels in a few large calls first, with the same result.
+routines (exp_e1, tricomi_psi11, gauss_2f1, gauss_2f1_near_unit) also accept
+numpy arrays. The E1 continued fraction iterates in numpy over the elements
+not yet converged, dropping each as it stops, and finishes the last few on
+Python floats; each element gets the same bits whatever array it is evaluated
+in. The quadrature evaluates the integrand on the abscissae of both new panels
+of a split, and can take the panel tree of an earlier run as a plan: the
+integrand is then evaluated on all planned panels in a few large calls first,
+with the same result.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -198,132 +199,60 @@ def tricomi_psi11(x):
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric 2F1 for small positive integer parameters
+# Gauss hypergeometric 2F1(2,2;3;z) and 2F1(3,3;4;z)
 # ---------------------------------------------------------------------------
 
-
-@functools.cache
-def _digamma_int(n):
-    """psi(n) for integer n >= 1: -gamma + H_{n-1}. Memoised: the 2F1
-    log-case series asks for the same few hundred n at every point."""
-    return -EULER_GAMMA + sum(1.0 / k for k in range(1, n))
-
-
-def _f21_series(a, b, c, z):
-    """Raw Gauss series; converges for |z| < 1, used for |z| <= 0.5.
-
-    Handles a terminating series when a or b is a nonpositive integer
-    (which arises via the Pfaff transform for negative arguments).
-    """
-    total = 1.0
-    term = 1.0
-    for k in range(100000):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total
+# Taylor coefficients k -> 2(k+1)/(k+2) and 3(k+1)(k+2)/(2(k+3)); at |z| <= 0.5
+# the first omitted term of either series is below 1e-17 times its sum.
+_F21_SERIES = {
+    (2, 2, 3): np.array([2.0 * (k + 1) / (k + 2) for k in range(72)]),
+    (3, 3, 4): np.array([3.0 * (k + 1) * (k + 2) / (2.0 * (k + 3)) for k in range(72)]),
+}
 
 
-def _f21_near_unit_neg(a, b, m, w):
-    """2F1(a,b;c;1-w) for c = a+b-m, m >= 1, 0 < w < 1 (logarithmic case)."""
-    c = a + b - m
-    fact = math.factorial
-    coef = fact(m - 1) * fact(c - 1) / (fact(a - 1) * fact(b - 1))
-    s1 = 0.0
-    term = 1.0
-    for n in range(m):
-        if n > 0:
-            term *= (a - m + n - 1) * (b - m + n - 1) / (n * (n - m))
-        s1 += term * w**n
-    s1 *= coef * w ** (-m)
-    if a - m < 1 or b - m < 1:
-        return s1  # 1/Gamma of a nonpositive integer kills the log series
-    pref = ((-1) ** m) * fact(c - 1) / (fact(a - m - 1) * fact(b - m - 1))
-    lw = math.log(w)
-    s2 = 0.0
-    poch_a = poch_b = nfact = 1.0
-    nmfact = float(fact(m))
-    for n in range(500):
-        if n > 0:
-            poch_a *= a + n - 1
-            poch_b *= b + n - 1
-            nfact *= n
-            nmfact *= n + m
-        bracket = lw - _digamma_int(n + 1) - _digamma_int(n + m + 1) \
-            + _digamma_int(a + n) + _digamma_int(b + n)
-        t = poch_a * poch_b / (nfact * nmfact) * bracket * w**n
-        s2 += t
-        if n > 4 and abs(t) <= 1e-17 * abs(s2):
-            break
-    return s1 - pref * s2
-
-
-def _f21_near_unit_zero(a, b, w):
-    """2F1(a,b;a+b;1-w) for 0 < w < 1 (logarithmic case, c-a-b = 0)."""
-    pref = math.factorial(a + b - 1) / (math.factorial(a - 1) * math.factorial(b - 1))
-    lw = math.log(w)
-    s = 0.0
-    poch_a = poch_b = nfact = 1.0
-    for n in range(500):
-        if n > 0:
-            poch_a *= a + n - 1
-            poch_b *= b + n - 1
-            nfact *= n
-        bracket = 2.0 * _digamma_int(n + 1) - _digamma_int(a + n) - _digamma_int(b + n) - lw
-        t = poch_a * poch_b / nfact**2 * bracket * w**n
-        s += t
-        if n > 4 and abs(t) <= 1e-17 * abs(s):
-            break
-    return pref * s
+def _f21(a, b, c, z, w):
+    """2F1(a,b;c;z) for (a,b,c) = (2,2,3) or (3,3,4) on arrays z < 1 and
+    w = 1 - z: the power series where |z| <= 0.5, else the elementary form
+        2F1(2,2;3;z) = (2/z^2)(z/w + ln w)
+        2F1(3,3;4;z) = (3/z^3)(3/2 + 1/(2w^2) - 2/w - ln w)
+                     = (3/z^3)(z(1 - 3w)/(2w^2) - ln w),
+    which cancel at small z; the second line keeps 3/2 - 2/w + 1/(2w^2)
+    from cancelling as well. Scalars in, float out."""
+    if (a, b, c) not in _F21_SERIES:
+        raise ValueError("the 2F1 kernel supports only (2, 2, 3) and (3, 3, 4), "
+                         f"got ({a}, {b}, {c})")
+    scalar = np.ndim(z) == 0
+    z, w = np.atleast_1d(np.asarray(z, dtype=float)), np.atleast_1d(np.asarray(w, dtype=float))
+    out = np.empty_like(z)
+    near = np.abs(z) <= 0.5
+    out[near] = np.polynomial.polynomial.polyval(z[near], _F21_SERIES[a, b, c])
+    zf, wf = z[~near], w[~near]
+    lw = np.log(wf)
+    if a == 2:
+        out[~near] = 2.0 / zf / zf * (zf / wf + lw)
+    else:
+        out[~near] = 3.0 / zf / zf / zf * (0.5 * zf * (1.0 - 3.0 * wf) / wf / wf - lw)
+    return float(out[0]) if scalar else out
 
 
 def gauss_2f1_near_unit(a, b, c, one_minus_z):
-    """2F1(a,b;c;z) parameterized by w = 1-z, for 0 < w <= 0.5.
-
-    Entry point for callers that know 1-z to full precision (the ratio-SIR
-    upper-bound CDF needs z within ~1e-16 of 1); integers a, b >= 1 and
-    1 <= c <= a + b (the logarithmic cases), else ValueError.
-    """
-    w = float(one_minus_z)
-    if not 0.0 < w <= 0.5:
+    """2F1(a,b;c;z) parameterized by w = 1-z, for 0 < w <= 0.5, so callers
+    that know 1-z to full precision keep it (the ratio-SIR upper-bound CDF
+    needs z within ~1e-16 of 1). Only (2,2,3) and (3,3,4); arrays or scalars."""
+    w = np.asarray(one_minus_z, dtype=float)
+    if not ((w > 0.0) & (w <= 0.5)).all():
         raise ValueError("gauss_2f1_near_unit requires 0 < 1-z <= 0.5")
-    m = c - a - b
-    if m > 0:
-        raise ValueError(f"gauss_2f1_near_unit requires c <= a + b, got ({a}, {b}, {c})")
-    if m == 0:
-        return _f21_near_unit_zero(a, b, w)
-    return _f21_near_unit_neg(a, b, -m, w)
+    return _f21(a, b, c, 1.0 - w, w)
 
 
 def gauss_2f1(a, b, c, z):
-    """Gauss hypergeometric 2F1(a,b;c;z) for small positive integers a, b, c
-    and real z < 1.
-
-    Raw series for |z| <= 0.5, Pfaff transform for z < -0.5, and the
-    degenerate (integer c-a-b, logarithmic) linear transformations for
-    0.5 < z < 1, so arguments arbitrarily close to 1 stay accurate. These
-    need c <= a + b (ValueError for 0.5 < z < 1 otherwise, and for z < -1
-    with c > b > a).
-    """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if int(v) != v or v < 1:
-            raise ValueError(f"gauss_2f1 parameter {name} must be a positive integer, got {v!r}")
-    a, b, c = int(a), int(b), int(c)
-    z = float(z)
-    if z >= 1.0:
+    """Gauss hypergeometric 2F1(a,b;c;z) for (a,b,c) = (2,2,3) or (3,3,4),
+    the two the SU upper-bound law needs, and real z < 1; arrays or scalars.
+    Any other triple raises ValueError."""
+    z = np.asarray(z, dtype=float)
+    if not (z < 1.0).all():
         raise ValueError(f"gauss_2f1 requires z < 1, got {z}")
-    if z < -0.5:
-        # Pfaff: (1-z)^{-a} 2F1(a, c-b; c; z/(z-1)); new argument in (1/3, 1)
-        zz = z / (z - 1.0)
-        if zz <= 0.5 or c - b < 1:  # c - b < 1: a terminating polynomial
-            inner = _f21_series(a, c - b, c, zz)
-        else:
-            inner = gauss_2f1_near_unit(a, c - b, c, 1.0 - zz)
-        return (1.0 - z) ** (-a) * inner
-    if z <= 0.5:
-        return _f21_series(a, b, c, z)
-    return gauss_2f1_near_unit(a, b, c, 1.0 - z)
+    return _f21(a, b, c, z, 1.0 - z)
 
 
 # ---------------------------------------------------------------------------

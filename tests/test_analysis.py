@@ -3,6 +3,7 @@ closed form against brute force, and the rate curves."""
 
 import copy
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -328,6 +329,16 @@ def test_su_upper_cdf_limits(default_geom, default_cfg):
     assert hi == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         dist_su_upper(0.0, default_geom, default_cfg)
+    # no intermediate overflows or underflows into a domain error at any x
+    et = derive_etas(default_geom)
+    e2, e3 = et.eta2 * default_cfg.gamma_bar_lin, et.eta3 * default_cfg.gamma_bar_lin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pdf, cdf = dist_su_upper([1e160, 1e200, 1e300, 1.7e308], default_geom, default_cfg)
+        assert pdf.tolist() == [0.0] * 4 and cdf.tolist() == [1.0] * 4
+        pdf, cdf = dist_su_upper([5e-324, 1e-300, 1e-160], default_geom, default_cfg)
+        assert pdf == pytest.approx(1 / e2 + 1 / e3, rel=1e-14)
+        assert cdf.tolist() == [0.0] * 3
 
 
 def test_su_upper_cdf_brute_force(default_geom, default_cfg, default_etas):

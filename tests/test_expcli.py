@@ -113,6 +113,17 @@ def test_config_rejects_out_key(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [cfgp.name]
 
 
+def test_config_that_is_not_utf8_is_rejected(tmp_path, capsys):
+    cfgp = tmp_path / "latin1.cfg"
+    cfgp.write_bytes("# r\u00e9sum\u00e9 of the default run\nseed = 1\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(cfgp)
+    out = tmp_path / "o.csv"
+    assert main(["water-level", "--config", str(cfgp), "--out", str(out)]) == 2
+    assert f"error: {cfgp}: not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_parsing():
     assert _parse_grid("0:10:40", "g", 1) == (0.0, 10.0, 20.0, 30.0, 40.0)
     with pytest.raises(ConfigError):
@@ -162,6 +173,20 @@ def test_outage_su_csv_bound_column(tmp_path):
         assert 0.0 <= float(r[7]) <= 1.0  # closed-form lower bound
         assert r[8] == ""                 # no analytic upper bound at the SU
         assert float(r[5]) >= float(r[7]) - 3 * float(r[6])
+
+
+@pytest.mark.parametrize("gamma_th, bound", [("1e200", "1"), ("1.7e308", "1"), ("1e-300", "0")])
+def test_outage_su_at_extreme_thresholds(tmp_path, gamma_th, bound):
+    # the closed-form bound's intermediates neither overflow nor underflow to
+    # a domain error at any finite threshold
+    cfgp = write_cfg(tmp_path, FAST_BODY.replace("trials = 20000", "trials = 10000")
+                     + f"gamma_th = {gamma_th}\n")
+    out = tmp_path / "o.csv"
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "curelay", "outage-su",
+                        "--config", str(cfgp), "--out", str(out)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    _, _, rows = read_rows(out)
+    assert [row[7] for row in rows] == [bound] * 3
 
 
 def test_rate_csv(tmp_path):

@@ -2,11 +2,12 @@
 upper-bound law.
 
 Every water-level value below was recorded from the plain per-panel,
-full-array implementation of the quadrature and of Psi(1,1,x); the
-`dist_su_upper` digests from its separate pdf and cdf loops; the solve
+full-array implementation of the quadrature and of Psi(1,1,x); the solve
 outcomes from the bisection that integrated at every step. Any faster or
 smaller evaluation must reproduce them exactly: a speedup that moves a bit
-of lambda moves the CSV headers too.
+of lambda moves the CSV headers too. The `dist_su_upper` digests were
+recorded from its whole-array closed form once `test_su_upper_vs_mpmath`
+held it within 1e-15 (cdf, absolute) and 1e-14 (pdf, relative) of mpmath.
 """
 
 import hashlib
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 import curelay.power as power
-from curelay import dist_su_upper, dist_t, load_config, solve_water_level, tricomi_psi11
+from curelay import (derive_etas, dist_su_upper, dist_t, load_config, solve_water_level,
+                     tricomi_psi11)
 from curelay.mathkernel import QUAD_TOL, ROOT_TOL, BracketError, IntegrationError
 
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -76,18 +78,18 @@ PSI_DIGESTS = {
 # per (placement, gamma_bar dB); "equal_qr" puts PU4 at equal distance from
 # BS1 and PU1 (q == r)
 SU_UPPER_DIGESTS = {
-    ("default", 0.0): ("17f309a724cf567c80b7aa786d54c73763b9c5de4e16ad58b45ea48231ed6584",
-                       "b7b82145a6fa711a438f048b79b8b779777de1fdfe339dff5c421e520a22d798"),
-    ("default", 20.0): ("e6964b1fcab52ae7811d38a7d3e70a2d5282a839d6a030fc3c81861a05b89303",
-                        "08f97a9321d2d5d1aaf8cf0b2dcfe243f37385a0f53111809529f8aa8044e091"),
-    ("default", 40.0): ("9f7755fbad494d4afb3afa99a2d36d2cb685c609c126ed222a24ab17e54ba39c",
-                        "f4714d6c75e409178ffc21f727284d00e0ee6d4d633ab5f15dd62e1682799197"),
-    ("equal_qr", 0.0): ("cdf4beb740eae4ef681b2d47177fd679c60b99430d2e17385e2c9ce3faaac1c5",
-                        "ff7eb750b8dbaed428504529b7528ab6f35814cb8668f916e207160931618ce0"),
-    ("equal_qr", 20.0): ("d187abf6cc5e777679e46cdcf0cca09bd0ef323fb622cf0d34290659e0e3bbc9",
-                         "93d1415e2f7d8e6d5c161c18c5724a3d99935155c97c0c83dbbf543e5baba771"),
-    ("equal_qr", 40.0): ("1abbcb01187947accb11df79c04bf5838d9c21307ae3171dd27ba157969bceaf",
-                         "ecb134fda3200b0df505217fc3b8bc8a6e72e2d0152c7018bd038dca8ebb9db9"),
+    ("default", 0.0): ("71f48887a31bc6cb6ed90626bc24317bd70849b1ec8e255a46d86faab75c9a5a",
+                       "3a5b0862f3bfb9f2b9a26fe068f3ea47e3670934e575176e32bfd49505ad5db3"),
+    ("default", 20.0): ("36bec34e1c8329e84b624d000370b2cbfac90105046572dbd2a29fe934b1e0be",
+                        "439422ee02e30bbfdc101c96a8ae90fbc2b6b7b7ba0bcd10adf31dd9275f18ff"),
+    ("default", 40.0): ("ecb7986d7788881cdefc5a40986523cb492b690d1543dad546f4f16f37cdfb38",
+                        "f2a5a947a6a3e352d8f92f0c6bcfa709687900651e5b87a8f3c5cb9c3dbc97d4"),
+    ("equal_qr", 0.0): ("085bcbe3b1cd50819e7bdc0b08e06d5592eaa4e379fc69468dc66b8061512e8f",
+                        "808d746227eec479d6fc2646bff8c137c1178d93750b5fe527532fcea583075a"),
+    ("equal_qr", 20.0): ("64425a62f75c6db80c7d4ec1e45850df1c8a11477bc0d931a4013aa379dac085",
+                         "33846e91aad5bbc4e3b47edc4b71c26ef77ad136a18cfd8a5fe29d552a049c31"),
+    ("equal_qr", 40.0): ("cc50b5778a38a051f64133299a2bc8d633ea8456d39fd17d727487c715e14192",
+                         "63eb4f9f748a3fa463978e50aae9d4febc0d6a3c24d3009b0d2ca7cee50a913f"),
 }
 EQUAL_QR_BODY = f"""
 w_db = 10.0
@@ -335,6 +337,40 @@ def test_su_upper_bits(placements, key):
                              replace(c.power, gamma_bar_db=gbar_db))
     assert (hashlib.sha256(pdf.tobytes()).hexdigest(),
             hashlib.sha256(cdf.tobytes()).hexdigest()) == SU_UPPER_DIGESTS[key]
+
+
+@pytest.mark.parametrize("gbar_db", [-10.0, 0.0, 30.0, 60.0])
+@pytest.mark.parametrize("placement", ["default", "equal_qr"])
+def test_su_upper_vs_mpmath(placements, placement, gbar_db):
+    """The evidence SU_UPPER_DIGESTS rest on: the law on their grid against
+    the paper's pdf and cdf forms in 60-digit mpmath, whose 2F1 elementary
+    forms are checked against mpmath's own hyp2f1 on every 50th point."""
+    mpmath = pytest.importorskip("mpmath")
+    c = placements[placement]
+    pw = replace(c.power, gamma_bar_db=gbar_db)
+    et = derive_etas(c.geometry)
+    xs = np.geomspace(1e-3, 1e5, 1000)
+    ref_pdf, ref_cdf = [], []
+    with mpmath.workdps(60):
+        e2, e3 = mpmath.mpf(et.eta2 * pw.gamma_bar_lin), mpmath.mpf(et.eta3 * pw.gamma_bar_lin)
+        for k, x in enumerate(map(mpmath.mpf, xs.tolist())):
+            da = (x + e2) * (x + e3)
+            w = x * x / da
+            z = 1 - w
+            h223 = 2 / z**2 * (z / w + mpmath.log(w))
+            h334 = 3 / z**3 * (mpmath.mpf(1.5) + 1 / (2 * w**2) - 2 / w - mpmath.log(w))
+            if k % 50 == 0:
+                assert abs(h223 / mpmath.hyp2f1(2, 2, 3, z) - 1) < 1e-30
+                assert abs(h334 / mpmath.hyp2f1(3, 3, 4, z) - 1) < 1e-30
+            ref_pdf.append(float(e2 * e3 * x * (x * x - e2 * e3) / da**3 * h223
+                                 + 2 * e2 * e3 * x**3 * (x * (e2 + e3) + 2 * e2 * e3)
+                                 / (3 * da**4) * h334))
+            ref_cdf.append(float(1 - e2 * e3 * x * x / (2 * da**2) * h223))
+    pdf, cdf = dist_su_upper(xs, c.geometry, pw)
+    assert np.abs(cdf - ref_cdf).max() <= 1e-15
+    # the paper's pdf form in floats, as evaluated before, was off by up to
+    # 2.2e-14 (-10 dB) to 1.9e-7 (60 dB) relative at these points
+    assert (np.abs(pdf - ref_pdf) / ref_pdf).max() <= 1e-14
 
 
 def test_su_upper_scalar_returns_floats(cfg):

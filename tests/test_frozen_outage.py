@@ -3,7 +3,11 @@
 Every digest below was recorded from the per-point outage kernel, which
 evaluated optimal_power and the SIRs afresh at every gamma_bar of a block.
 Any faster evaluation must reproduce every field of every OutageEstimate
-exactly, at one worker and at two: the outage CSVs print them.
+exactly, at one worker and at two: the outage CSVs print them. The "su"
+digests at gamma_th > 0 were recorded again when the SU law moved to its
+whole-array closed form: their lower_bound moved by at most 4.4e-16, within
+rounding of mpmath's value (see test_frozen.test_su_upper_vs_mpmath), and
+every other field kept its bits.
 """
 
 import hashlib
@@ -40,25 +44,25 @@ OUTAGE_DIGESTS = {
     ("default", "bs", 3.0): "bc6ba1e87a313cc1f65e45c499f827944dee24af8ca37b2fe33647f73664419f",
     ("default", "bs", 1000.0): "20b1d7752f7e4e46371499e641b5ab06236a2dc443c2bc24c90d03fd9be72713",
     ("default", "su", 0.0): "72a7141a0c6ac8f8e8362c18ce5edb7bf4d555cec80bc9e043ea312ac77860dd",
-    ("default", "su", 0.5): "7f942c6a51a6ca1885acaceb872533934b4c0a6d27985772d7d733775635d0be",
-    ("default", "su", 3.0): "1f93822c77776bc968a6544942b1a13113ffab07b07a16cae2dfe437ed4c4823",
-    ("default", "su", 1000.0): "58b5974cf5bbad1badf6c18cee9046943369526c20f184a298a3fcccdf6cea34",
+    ("default", "su", 0.5): "3d7dbf265cc4d83c05bd9f6feccf4b3124b5143d45a142e9af2ad2dc98b60c2a",
+    ("default", "su", 3.0): "59cdf939c607420989c9170a4e5f0e9275445fabe981cace2509523762b36d66",
+    ("default", "su", 1000.0): "f018885f84a5dbb6347bb0cbb7cdd230da1d3627209953710c386bd04a1c5835",
     ("equal_qr", "bs", 0.0): "0ee8a3b90dde6c260fea375c2720bdf0219b7b1289036ab823f542c6b5112895",
     ("equal_qr", "bs", 0.5): "0e134ee74e48b5dae5aeed5240a6eb515de0aadc2fcaae51099b7bbe196ab63d",
     ("equal_qr", "bs", 3.0): "24f450af475462c4855e8c14a18317dabc830af36978bb7d9cdb01c123a69d48",
     ("equal_qr", "bs", 1000.0): "f18dcfdfcc6cceb4ea9388fe18ea353c6ca89db68d426cbbe447fa1ab238ecd2",
     ("equal_qr", "su", 0.0): "72a7141a0c6ac8f8e8362c18ce5edb7bf4d555cec80bc9e043ea312ac77860dd",
-    ("equal_qr", "su", 0.5): "00c132d0604b256362dec829c373810899158048dbfa5df96caf481644ff4c48",
-    ("equal_qr", "su", 3.0): "06b75bda2cc6063b8d7b6ffa7ac2a1d28050ade38140b21f90a0b2e52866f938",
-    ("equal_qr", "su", 1000.0): "0f7f56d1c0defe8afc72f6c153dc0e0308ec2137983887ebee1d1d6c104c979b",
+    ("equal_qr", "su", 0.5): "8e80ddfe349fa943a80f2490079a0b54af6e39c3b22a5a808561964e85c558ab",
+    ("equal_qr", "su", 3.0): "b70d34fd08d5f8cd1cef4c68951b4cba0051cd7fd634ec7b67cae4071a622296",
+    ("equal_qr", "su", 1000.0): "37ae813ede02544927dbc82b3978a6649f9f7a93d5661c7dd203c17f8ded6555",
     ("w-10_cci40", "bs", 0.0): "bac60d80a94466e7c5bf58a0c05e9ad17e5411f325a6775c63e726d10023173f",
     ("w-10_cci40", "bs", 0.5): "d62b4ea23927d3de16416e8c7653282c104135e5d5a2cc6cc863a5d8c32525b1",
     ("w-10_cci40", "bs", 3.0): "961361049cdc484bae338b336aaa9587953539c659cb31d5a51dddd41f513d0e",
     ("w-10_cci40", "bs", 1000.0): "10c8360ff16729dbb5c71019ddde6d7a97b5bff4c5d6da08a41fd774275ea26c",
     ("w-10_cci40", "su", 0.0): "72a7141a0c6ac8f8e8362c18ce5edb7bf4d555cec80bc9e043ea312ac77860dd",
-    ("w-10_cci40", "su", 0.5): "b179bdc6110f9e44969727e24cd95564e06890b70bacb9176316875580b0b2b8",
-    ("w-10_cci40", "su", 3.0): "42f881edb52da8086c44d37a62c4ad590f6ce617b1e874ee80154ac706702e83",
-    ("w-10_cci40", "su", 1000.0): "d9453c8d94851b4184b3ccf7937fa06b4c0137776fd18d7b52a3b6c3974f277a",
+    ("w-10_cci40", "su", 0.5): "78c10caba27f9e8fab1beda00c11081be1cbd2c80e5c6104b581d64b9965c365",
+    ("w-10_cci40", "su", 3.0): "36ff1426e83dbeaf57cb9d669adc8616fe2cc6ebde32e6ddb588c1dd5eecc748",
+    ("w-10_cci40", "su", 1000.0): "8eb51d672ab3e05fffa8a6feed47243dc5767be7bcf6347ad206bb0db0e2e577",
 }
 
 
