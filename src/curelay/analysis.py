@@ -8,15 +8,16 @@ and the block function turns that whole block and the group's arguments into
 one flat row of sums. Scaling h2, g2, f2 by a point's gamma_bar is bitwise
 what sampling at that mean gives. An `outage_mc` sweep is one group, so
 every point reuses the draws of blocks (seed, i); a `rate_curve` point is a
-group of its own, whose block scales its draw in place, and every power
-policy of the call is evaluated on that point's draws. Every block function
-slices its own block into `SLICE_DRAWS` draws, which keeps the elementwise
-working set in cache: an outage block adds the slices' integer counts, while
-a rate block packs the per-draw terms of each slice's counted draws into
-block-length arrays and forms its floating-point sums over the whole block,
-so the slice length never moves a bit. Each call runs all its blocks through
-one process pool and sums each group's rows in block order, so results are
-bit-identical for any worker count.
+group of its own, whose block scales its draw in place and skips w2, which
+no rate term reads, and every power policy of the call is evaluated on that
+point's draws. Every block function slices its own block into `SLICE_DRAWS`
+draws, which keeps the elementwise working set in cache: an outage block
+adds the slices' integer counts, while a rate block packs the per-draw terms
+of each slice's counted draws into block-length arrays and forms its
+floating-point sums over the whole block, so the slice length never moves a
+bit. Each call runs all its blocks through one process pool and sums each
+group's rows in block order, so results are bit-identical for any worker
+count.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
@@ -25,10 +26,10 @@ gamma_bar below which it is in outage, and every grid point is decided by
 one comparison with it. A guard sends a draw through the exact per-point
 path instead (`sir_sample` at that point's gamma_bar) where rounding could
 tell the two apart: a zero or non-finite gain, a near-cancelling P_su1,
-gamma2 near gamma_th at the BS, or a point within `_CRIT_BAND` of the
-critical value. The counts are therefore bit for bit
-those of the per-point kernel. The dual-route gamma2 check runs on every
-unit-mean slice and on every guard draw.
+gamma2 near gamma_th at the BS, a critical value that overflows (huge
+gamma_th), or a point within `_CRIT_BAND` of the critical value. The counts
+are therefore bit for bit those of the per-point kernel. The dual-route
+gamma2 check runs on every unit-mean slice and on every guard draw.
 
 Outage semantics: at the base station the statistic is conditioned on the
 secondary actually transmitting (P_su1 > 0), matching the truncated law the
@@ -139,7 +140,8 @@ _UNIT_MEAN = PowerConfig(p_cci_db=0.0, w_db=0.0, gamma_bar_db=0.0)
 
 def _select(draw, index):
     """The draws of `draw` at `index` (a slice or a mask)."""
-    return FadingRealization(*(getattr(draw, f.name)[index] for f in fields(draw)))
+    gains = (getattr(draw, f.name) for f in fields(draw))
+    return FadingRealization(*(None if a is None else a[index] for a in gains))
 
 
 def _slices(draw, size):
@@ -156,17 +158,19 @@ def _at_mean(draw, cfg):
 
 
 def _run_block(task):
-    block_fn, args, seed, stream, n = task
-    return block_fn(sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n), *args)
+    block_fn, args, seed, stream, n, w2 = task
+    draw = sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n, w2=w2)
+    return block_fn(draw, *args)
 
 
-def _sweep(block_fn, groups, trials, seed, workers, block_size):
+def _sweep(block_fn, groups, trials, seed, workers, block_size, w2=True):
     """Per argument tuple of `groups`, in order, the column sums of the rows
     block_fn(draw, *args) returns for the group's unit-mean blocks, over
-    `trials` draws in the block layout of the module docstring."""
+    `trials` draws in the block layout of the module docstring. With `w2`
+    false the blocks are drawn without w2, for a block_fn that never reads it."""
     n_full, rem = divmod(trials, block_size)
     sizes = [block_size] * n_full + ([rem] if rem else [])
-    tasks = [(block_fn, args, seed, k * 1_000_000 + i, n)
+    tasks = [(block_fn, args, seed, k * 1_000_000 + i, n, w2)
              for k, args in enumerate(groups) for i, n in enumerate(sizes)]
     if workers <= 1:
         rows = [_run_block(t) for t in tasks]
@@ -207,8 +211,9 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
             # and gamma2 free of gamma_bar: in outage at every gamma_bar when
             # gamma2 <= gamma_th, else iff gamma1 < gamma_th gamma2/(gamma2 - gamma_th)
             exact |= np.abs(gamma2 - gamma_th) <= _CRIT_BAND * (1.0 + gamma_th)
-            crit = np.where(gamma2 > gamma_th,
-                            gamma_th * gamma2 / ((gamma2 - gamma_th) * gamma1), np.inf)
+            above = gamma2 > gamma_th
+            crit = np.where(above, gamma_th * gamma2 / ((gamma2 - gamma_th) * gamma1), np.inf)
+            exact |= above & ~np.isfinite(crit)
             crit[p_su1 == 0] = np.nan
         else:
             # gamma3 = gamma_bar a3, gamma4 = gamma_bar a4 and the SU's own
@@ -218,6 +223,7 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
             a3, a4, k = _su_terms(draw, geom, cfg, p_su1)
             a, tb = a3 * a4, gamma_th * (a3 + a4)
             crit = (tb + np.sqrt(tb * tb + 4.0 * gamma_th * a * k)) / (2.0 * a)
+            exact |= ~np.isfinite(crit)
     crit[exact] = np.nan
     return crit, exact
 
@@ -425,7 +431,7 @@ def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policies,
         raise ValueError("optimal policy requires a solved water level")
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
     sums = _sweep(_rate_block, [(c, geom, lam, policies, SLICE_DRAWS) for c in configs],
-                  trials, seed, workers, block_size)
+                  trials, seed, workers, block_size, w2=False)
     out = []
     for j, policy in enumerate(policies):
         for sir_db, point in zip(sir_grid_db, sums):

@@ -113,7 +113,8 @@ class FadingRealization:
     """One i.i.d. block-fading draw of the six channel power gains.
 
     h2, g2, f2 are exponential with mean gamma_bar_lin; u2, v2, w2 with
-    mean 1. Fields are scalars or equally shaped arrays.
+    mean 1. Fields are scalars or equally shaped arrays; w2, read only by
+    the SU side, is None in a draw sampled without it.
     """
 
     h2: np.ndarray
@@ -124,9 +125,12 @@ class FadingRealization:
     w2: np.ndarray
 
 
-def sample_fading(rng: np.random.Generator, cfg: PowerConfig, size=None) -> FadingRealization:
+def sample_fading(rng: np.random.Generator, cfg: PowerConfig, size=None,
+                  w2=True) -> FadingRealization:
     """Draw channel power gains. Deterministic for a given generator state;
-    the draw order (h2, g2, f2, u2, v2, w2) is part of the contract."""
+    the draw order (h2, g2, f2, u2, v2, w2) is part of the contract, so
+    with `w2` false the last draw is skipped (w2 is None) and every other
+    gain keeps its bits."""
     gbar = cfg.gamma_bar_lin
     return FadingRealization(
         h2=rng.exponential(gbar, size),
@@ -134,7 +138,7 @@ def sample_fading(rng: np.random.Generator, cfg: PowerConfig, size=None) -> Fadi
         f2=rng.exponential(gbar, size),
         u2=rng.exponential(1.0, size),
         v2=rng.exponential(1.0, size),
-        w2=rng.exponential(1.0, size),
+        w2=rng.exponential(1.0, size) if w2 else None,
     )
 
 

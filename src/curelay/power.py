@@ -9,8 +9,9 @@ by bracketing bisection (the left side is continuous and nondecreasing in
 lam). Bisection steps far from the root are steered by the closed-form
 reduction of the same expectation while it matches the quadrature; every
 step near the root, and the returned lam and residual, use the quadrature.
-Each quadrature of a solve replays the panel tree of the one before it, so
-the integrand is evaluated in a few large calls; the bits do not change.
+Each quadrature of a solve replays the panel tree of the one before it, and
+evaluates the splits outside it in batches, so the integrand is evaluated in
+a few large calls; the bits do not change.
 The per-draw optimal transmit power is then
 
     P_su1 = max(0, lam/(d^-eps f2) - P (q^-eps u2 + r^-eps v2)/(l^-eps g2)).
@@ -99,9 +100,12 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
 
     Each quadrature replays the panel tree of the solve's previous one: near
     the root lam moves little, the trees nearly coincide, and the integrand
-    is evaluated in a few large calls instead of once per split. Values, and
-    so lam, its residual and any failure, are the same bits as without the
-    replay.
+    is evaluated in a few large calls instead of once per split. Where the
+    tree predicts badly (the bracketing steps at high d, where lam doubles,
+    or a quadrature that runs out of subdivisions) the quadrature evaluates
+    its unplanned splits in batches (see `integrate`). Values, and so lam,
+    its residual and any failure, are the same bits as without the replay
+    or the batches.
     """
     w_lin = cfg.w_lin
     resid_tol = ROOT_TOL.rel_tol * max(1.0, w_lin)

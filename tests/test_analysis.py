@@ -205,6 +205,18 @@ def test_outage_point_on_a_critical_value_matches_per_point_kernel(default_geom,
 
 
 @pytest.mark.parametrize("side", ["bs", "su"])
+def test_outage_at_huge_threshold_matches_per_point_kernel(default_geom, default_cfg, solved,
+                                                           side):
+    # gamma_th (a3 + a4) and a3 a4 overflow here, so the SU critical value
+    # would be nan ("counted at none") without the exact path
+    draw = sample_fading(np.random.default_rng([1, 0]), _UNIT_MEAN, 10_000)
+    group = [replace(default_cfg, gamma_bar_db=g) for g in (0.0, 40.0)]
+    for gamma_th in (1e300, 1.7e308):
+        assert (_outage_block(draw, group, default_geom, solved, gamma_th, side, SLICE_DRAWS)
+                == _per_point(draw, group, default_geom, solved, gamma_th, side)), gamma_th
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
 def test_outage_all_exact_equals_fast_path(monkeypatch, default_geom, default_cfg, solved,
                                            side):
     # an infinitely wide guard sends every draw of every point down the exact path

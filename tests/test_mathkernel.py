@@ -2,10 +2,12 @@
 or asymptotic truncations computed in the test itself."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from curelay import mathkernel
 from curelay.mathkernel import (
     EULER_GAMMA,
     BracketError,
@@ -319,9 +321,12 @@ def test_integrate_replays_its_plan_in_few_calls():
         sizes.append(t.size)
         return _peak(t)
 
+    # without a plan: the root, then unplanned calls that take 1, 2, 4, ...
+    # splits, as many as the heap's first levels offer and the remaining
+    # error can need
     base = integrate(f, 0.0, 2.0, TIGHT)
     n = len(base.splits)
-    assert 0 < n <= 67 and sizes == [15] + [30] * n
+    assert 0 < n <= 67 and sizes == [15, 30] + [60] * 6 + [180, 120]
     # the run's own plan: one call on every abscissa the run needs
     sizes.clear()
     again = integrate(f, 0.0, 2.0, TIGHT, plan=base.splits)
@@ -331,6 +336,52 @@ def test_integrate_replays_its_plan_in_few_calls():
     integrate(f, 0.0, 2.0, TIGHT, plan=range(1, 256))
     assert sizes[:4] == [15 + 30 * 67, 30 * 68, 30 * 68, 30 * 52]
     assert max(sizes) <= 2048
+
+
+@pytest.mark.parametrize("case", list(REPLAY_CASES))
+def test_integrate_batches_do_not_move_a_bit(case, monkeypatch):
+    # unplanned splits evaluated in batches of up to _BATCH_CAP, against one
+    # per call (cap 1) and against the scalar abscissae of one split per call:
+    # the same outcome, and every abscissa of the latter among the batches'
+    calls = []
+    f, lo, hi, tol = REPLAY_CASES[case]
+
+    def recording(t):
+        calls.append(t.copy())
+        return f(t)
+
+    monkeypatch.setitem(REPLAY_CASES, case, (recording, lo, hi, tol))
+
+    def scalar_split(g, heap, planned, first, *rest):
+        a, b, _ = first
+        m = 0.5 * (a + b)
+        halves = np.concatenate([mathkernel._gk15_nodes(a, m), mathkernel._gk15_nodes(m, b)])
+        return np.asarray(g(halves), dtype=float)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = _outcome(case)
+        batched_x = set(np.concatenate(calls).tolist())
+        monkeypatch.setattr(mathkernel, "_BATCH_CAP", 1)
+        assert _outcome(case) == batched
+        calls.clear()
+        monkeypatch.setattr(mathkernel, "_batch", scalar_split)
+        assert _outcome(case) == batched
+    assert {t.size for t in calls[1:]} == {30}
+    assert set(np.concatenate(calls).tolist()) <= batched_x
+
+
+def test_integrate_batches_the_splits_of_an_exhausted_budget():
+    # 2000 splits of a quadrature that fails: under 200 calls, not 2000
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.sin(1.0 / t) / np.sqrt(t)
+
+    with pytest.raises(IntegrationError):
+        integrate(f, 0.0, 1.0, NumericTolerance(1e-14, 1e-300, 2000))
+    assert len(calls) < 200 and max(calls) == 30 * mathkernel._BATCH_CAP
 
 
 # ---------------------------------------------------------------------------

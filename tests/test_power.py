@@ -3,6 +3,7 @@ satisfaction oracle: the Monte-Carlo average of the interference actually
 received at the constrained node must reproduce the configured budget."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from curelay import (
     closed_form_check,
     constraint_lhs,
     fixed_power,
+    load_config,
+    mathkernel,
     optimal_power,
     sample_fading,
     solve_water_level,
 )
+from test_frozen import DEFAULT_CFG, EQUAL_QR_BODY, REPLAY_POINTS, _power, _solve_bits
 
 
 def mc_constraint(geom, cfg, lam, n, seed):
@@ -55,6 +59,27 @@ def test_water_level_residual_reported(default_geom, default_cfg):
     assert abs(level.residual) <= 1e-10 * max(1.0, default_cfg.w_lin)
     assert constraint_lhs(level.lam, default_geom, default_cfg) == pytest.approx(
         default_cfg.w_lin, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def placements(tmp_path_factory):
+    path = tmp_path_factory.mktemp("equal_qr") / "case.cfg"
+    path.write_text(EQUAL_QR_BODY, encoding="utf-8")
+    return {"default": load_config(DEFAULT_CFG), "equal_qr": load_config(path)}
+
+
+@pytest.mark.parametrize("key", REPLAY_POINTS, ids=str)
+def test_batched_solve_matches_one_split_per_call(placements, key, monkeypatch):
+    # lam and residual, or the failure with its partial estimate, the same
+    # bits whether the quadrature evaluates its unplanned splits in batches
+    # or one per integrand call
+    c = placements[key[0]]
+    geom, pw = c.geometry, _power(c, key[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = _solve_bits(geom, pw)
+        monkeypatch.setattr(mathkernel, "_BATCH_CAP", 1)
+        assert batched == _solve_bits(geom, pw)
 
 
 def test_closed_form_check_reports(default_geom, default_cfg):
