@@ -13,11 +13,21 @@ no rate term reads, and every power policy of the call is evaluated on that
 point's draws. Every block function slices its own block into `SLICE_DRAWS`
 draws, which keeps the elementwise working set in cache: an outage block
 adds the slices' integer counts, while a rate block packs the per-draw terms
-of each slice's counted draws into block-length arrays and forms its
+of each slice's counted draws into block-length rows and forms its
 floating-point sums over the whole block, so the slice length never moves a
 bit. Each call runs all its blocks through one process pool and sums each
 group's rows in block order, so results are bit-identical for any worker
 count.
+
+A block does not allocate its block-length arrays: each process (each
+thread of it) keeps one workspace of eight float64 rows (`_workspace`), and
+every block it runs, in a pool worker every task too, draws its gains into
+rows 0-5 (0-4 without w2); a rate block, which reads no w2, packs its three
+term arrays into rows 5-7. A shorter last block uses the leading elements
+of each row. The rows are scratch, not a cache: a block writes every
+element before it reads it, so its row is the same as with fresh arrays,
+and only the page faults of fresh memory (about 16 MB a rate block) are
+saved.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
@@ -43,6 +53,7 @@ non-outage on both sides.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -58,8 +69,8 @@ from .channels import (
     sample_fading,
 )
 from .mathkernel import gauss_2f1, gauss_2f1_near_unit
-from .power import _power_terms, fixed_power, optimal_power
-from .relaying import _su_terms, bs_sir, check_gamma2_routes, sir_sample
+from .power import _interference, _power_terms, fixed_power, optimal_power
+from .relaying import _bs_terms, _harmonic, _su_terms, check_gamma2_routes, sir_sample
 
 __all__ = [
     "OutageEstimate",
@@ -74,14 +85,16 @@ __all__ = [
 BLOCK_SIZE = 250_000
 OUTAGE_MIN_TRIALS = 10_000
 RATE_MIN_TRIALS = 100_000
-# Draws per slice of a block's elementwise work: the slice's temporaries stay
-# in cache and are reused by the allocator instead of being faulted in afresh.
-# They stay on the heap only by way of glibc's dynamic mmap threshold: a slice
-# array is 16,384 x 8 B = 128 KiB, exactly the default threshold, and it is
-# the freeing of each block's 2 MB fading draw that raises the threshold
-# above it. Reusing one sampling buffer across blocks (never freed) sent every
-# slice array through mmap: an mc_outage pass went from 27k to 372k page
-# faults and from 2.3 to 3.1 s (2-vCPU x86-64 host, glibc malloc).
+# Draws per slice of a block's elementwise work: the slice's temporaries
+# (16,384 x 8 B = 128 KiB each) stay in cache. Since the block-length arrays
+# live in the workspace and are no longer freed each block, glibc's dynamic
+# mmap threshold stays where earlier, smaller frees left it (about 256-512
+# KiB after a water-level solve), and its trim threshold, twice that, lies
+# below a slice's working set, so memory freed after a slice goes back to
+# the OS and faults in again in the next one. Measured per 250k-draw block
+# in one process (2-vCPU x86-64 host, glibc malloc): about 400 minor faults
+# a rate block and 1,300-3,700 an outage block, against 4,200 and 3,400 with
+# fresh block arrays; 16,000 draws gives the same.
 SLICE_DRAWS = 16_384
 # Relative half-width of the band around a draw's critical gamma_bar inside
 # which an outage point takes the exact per-point path; the same width
@@ -157,9 +170,31 @@ def _at_mean(draw, cfg):
     return replace(draw, h2=h2, g2=g2, f2=f2)
 
 
+# Workspace rows (module docstring), one set per thread, so sweeps run from
+# two threads never share them; a pool task cannot carry an array to its
+# worker, so a worker keeps its rows here across tasks. Separate rows, each
+# as large as one of the arrays they replace, keep a block's resident memory
+# what it was with fresh arrays: for one 2-D array numpy asks for huge
+# pages, and those straddle the rows a block leaves untouched.
+_WORKSPACE_ROWS = 8
+_scratch = threading.local()
+
+
+def _workspace(n):
+    """This thread's workspace rows, cut to their leading n elements; they
+    are reallocated only when shorter than n. Their contents are whatever
+    the last block left: a block writes every element before it reads it."""
+    rows = getattr(_scratch, "rows", ())
+    if not rows or rows[0].size < n:
+        rows = _scratch.rows = None  # freed before the longer rows are allocated
+        rows = _scratch.rows = [np.empty(n) for _ in range(_WORKSPACE_ROWS)]
+    return [row[:n] for row in rows]
+
+
 def _run_block(task):
     block_fn, args, seed, stream, n, w2 = task
-    draw = sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n, w2=w2)
+    draw = sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n, w2=w2,
+                         out=_workspace(n))
     return block_fn(draw, *args)
 
 
@@ -199,9 +234,10 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
     at mean gamma_bar iff gamma_bar < crit (inf: at every gamma_bar; nan:
     counted at none, or exact), and `exact` marks the draws that take the
     exact per-point path at every point (see _CRIT_BAND)."""
-    p_su1 = optimal_power(draw, geom, cfg, lam)
-    head, tail = _power_terms(draw, geom, cfg, lam)
-    gamma1, gamma2, _ = bs_sir(draw, geom, cfg, p_su1)
+    cci = _interference(draw, geom, cfg)
+    head, tail = _power_terms(draw, geom, cfg, lam, cci)
+    p_su1 = optimal_power(draw, geom, cfg, lam, terms=(head, tail))
+    gamma1, gamma2 = _bs_terms(draw, geom, p_su1, cci)
     check_gamma2_routes(draw, geom, cfg, lam, gamma2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gains = draw.h2 * draw.g2 * draw.f2 * draw.u2 * draw.v2 * draw.w2
@@ -296,12 +332,13 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
 
 
 def _gamma2_cdf(x, geom, lam, p_cci):
-    """CDF of gamma2 given transmission: 1 - F_T(c2/(x+1))/F_T(c2), c2 = lam/(eta4 P)."""
+    """CDF of gamma2 given transmission: 1 - F_T(c2/(x+1))/F_T(c2), c2 = lam/(eta4 P),
+    with F_T from one `dist_t` call for c2 and every x."""
     et = derive_etas(geom)
     c2 = lam / (et.eta4 * p_cci)
-    _, ft_c2 = dist_t(c2, geom)
-    _, ft = dist_t(c2 / (np.asarray(x, dtype=float) + 1.0), geom)
-    return 1.0 - ft / ft_c2
+    x = np.asarray(x, dtype=float)
+    _, ft = dist_t(np.append(c2, c2 / (x.ravel() + 1.0)), geom)
+    return (1.0 - ft[1:] / ft[0]).reshape(x.shape)
 
 
 def outage_bs_bounds(gamma_th: float, geom: ScenarioGeometry, cfg: PowerConfig,
@@ -316,13 +353,11 @@ def outage_bs_bounds(gamma_th: float, geom: ScenarioGeometry, cfg: PowerConfig,
     if gamma_th == 0.0:
         return 0.0, 0.0
     et = derive_etas(geom)
-
-    def combined(g):
-        _, f1 = dist_gamma_ratio(g, et.eta1, cfg.gamma_bar_lin)
-        f2 = float(_gamma2_cdf(g, geom, lam, cfg.p_cci_lin))
-        return f1 + f2 - f1 * f2
-
-    return combined(gamma_th), combined(2.0 * gamma_th)
+    g = np.array([gamma_th, 2.0 * gamma_th])
+    _, f1 = dist_gamma_ratio(g, et.eta1, cfg.gamma_bar_lin)
+    f2 = _gamma2_cdf(g, geom, lam, cfg.p_cci_lin)
+    lower, upper = (f1 + f2 - f1 * f2).tolist()
+    return lower, upper
 
 
 def dist_su_upper(x, geom: ScenarioGeometry, cfg: PowerConfig):
@@ -383,25 +418,35 @@ def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
     """Per policy: the sum and the sum of squares of log2(1 + gamma2), the
     sum of 0.5 log2(1 + gamma_bs1), and the count of draws where both are
     finite. The terms of the counted draws are computed slice by slice and
-    packed into block-length arrays, so each sum runs over the same array
-    as on the whole block and the result does not depend on `slice_draws`."""
+    packed into block-length workspace rows, so each sum runs over the same
+    array as on the whole block and the result does not depend on
+    `slice_draws`. Each slice computes its interference once, for P_su1's
+    threshold and for gamma2."""
     draw = _at_mean(draw, cfg)
     n = draw.h2.size
-    obj, sq, e2e = np.empty(n), np.empty(n), np.empty(n)
+    obj, sq, e2e = _workspace(n)[5:]
     sums = []
     for policy in policies:
         m = 0
         for piece in _slices(draw, slice_draws):
+            cci = _interference(piece, geom, cfg)
             if policy == "optimal":
-                p_su1 = optimal_power(piece, geom, cfg, lam)
+                p_su1 = optimal_power(piece, geom, cfg, lam,
+                                      terms=_power_terms(piece, geom, cfg, lam, cci))
             else:
                 p_su1 = fixed_power(cfg, geom)
-            _, gamma2, gbs = bs_sir(piece, geom, cfg, p_su1)
-            valid = np.isfinite(gamma2) & np.isfinite(gbs)
-            k = m + int(np.count_nonzero(valid))
-            np.divide(np.log1p(gamma2[valid]), _LN2, out=obj[m:k])
-            np.square(obj[m:k], out=sq[m:k])
-            np.divide(0.5 * np.log1p(gbs[valid]), _LN2, out=e2e[m:k])
+            gamma1, gamma2 = _bs_terms(piece, geom, p_su1, cci)
+            gbs = _harmonic(gamma1, gamma2, gamma2)
+            # gamma_bs1 is NaN or inf wherever gamma2 is, so this is every
+            # draw where both are finite
+            valid = np.isfinite(gbs)
+            if not valid.all():
+                gamma2, gbs = gamma2[valid], gbs[valid]
+            k = m + gamma2.size
+            t_obj, t_e2e = obj[m:k], e2e[m:k]
+            np.divide(np.log1p(gamma2, out=t_obj), _LN2, out=t_obj)
+            np.square(t_obj, out=sq[m:k])
+            np.divide(np.multiply(np.log1p(gbs, out=t_e2e), 0.5, out=t_e2e), _LN2, out=t_e2e)
             m = k
         sums += (float(obj[:m].sum()), float(sq[:m].sum()), float(e2e[:m].sum()), m)
     return sums

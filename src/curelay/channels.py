@@ -126,20 +126,27 @@ class FadingRealization:
 
 
 def sample_fading(rng: np.random.Generator, cfg: PowerConfig, size=None,
-                  w2=True) -> FadingRealization:
+                  w2=True, out=None) -> FadingRealization:
     """Draw channel power gains. Deterministic for a given generator state;
     the draw order (h2, g2, f2, u2, v2, w2) is part of the contract, so
     with `w2` false the last draw is skipped (w2 is None) and every other
-    gain keeps its bits."""
+    gain keeps its bits.
+
+    With `out`, a sequence of at least six (five without w2) float64 arrays
+    of shape `size`, gain i is drawn into out[i] and returned as that array;
+    nothing is allocated. Each gain is a unit-mean exponential draw,
+    then h2, g2, f2 are scaled by gamma_bar in place. Generator.exponential(s)
+    is s times the standard exponential draw per element, so the bits equal
+    rng.exponential(gamma_bar, size) either way."""
     gbar = cfg.gamma_bar_lin
-    return FadingRealization(
-        h2=rng.exponential(gbar, size),
-        g2=rng.exponential(gbar, size),
-        f2=rng.exponential(gbar, size),
-        u2=rng.exponential(1.0, size),
-        v2=rng.exponential(1.0, size),
-        w2=rng.exponential(1.0, size) if w2 else None,
-    )
+    gains = []
+    for i in range(6 if w2 else 5):
+        row = None if out is None else out[i]
+        gain = rng.standard_exponential(size, out=row)
+        if i < 3 and gbar != 1.0:
+            gain = np.multiply(gain, gbar, out=row)
+        gains.append(gain)
+    return FadingRealization(*gains, *([] if w2 else [None]))
 
 
 def _require_nonneg(x, op):

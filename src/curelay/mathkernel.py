@@ -117,8 +117,18 @@ def _psi_cf(x):
     recurrence finishes each of them on Python floats. Every element sees the
     same IEEE operations in the same order either way, so the result does not
     depend on the array it arrived in.
+
+    Lentz's guards against a zero denominator (|d|, |c| < tiny set to tiny)
+    are left out because they never fire here. With b_k = x + 2k + 1 and
+    a_k = -k^2, the denominators D_k = b_k + a_k/D_{k-1} (D_0 = inf) and
+    c_k = b_k + a_k/c_{k-1} (c_0 = x + 1) both exceed x + k + 1 for every
+    x > 0: if the previous one is at least x + k, then k^2 over it is below
+    k^2/(x + k) < k. In floating point each step adds a relative rounding of
+    a few ulps and damps the earlier ones (k^2/D_{k-1} < D_k), so both stay
+    above 1, far from the guards' 1e-300. At x = inf the
+    first step gives D = inf and c = inf, so delta = c/D = NaN and the
+    element stops at NaN, as it would with the guards.
     """
-    tiny = 1e-300
     out = np.empty_like(x)
     idx = np.arange(x.size)
     f = x + 1.0
@@ -128,11 +138,8 @@ def _psi_cf(x):
     while k < 400 and idx.size >= _PSI_CF_SCALAR_TAIL:
         a = -float(k * k)
         b = x + (2 * k + 1)
-        d = b + a * d
-        np.copyto(d, tiny, where=np.abs(d) < tiny)
+        d = 1.0 / (b + a * d)
         c = b + a / c
-        np.copyto(c, tiny, where=np.abs(c) < tiny)
-        d = 1.0 / d
         delta = c * d
         f = f * delta
         k += 1
@@ -146,13 +153,8 @@ def _psi_cf(x):
         for j in range(k, 400):
             a = -float(j * j)
             b = xi + (2 * j + 1)
-            di = b + a * di
-            if abs(di) < tiny:
-                di = tiny
+            di = 1.0 / (b + a * di)
             ci = b + a / ci
-            if abs(ci) < tiny:
-                ci = tiny
-            di = 1.0 / di
             delta = ci * di
             fi = fi * delta
             if not abs(delta - 1.0) > 1e-16:

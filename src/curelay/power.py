@@ -212,34 +212,45 @@ def closed_form_check(lam: float, geom: ScenarioGeometry, cfg: PowerConfig) -> C
     )
 
 
-def _power_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
-                lam: float):
-    """(head, tail) with P_su1 = max(0, head - tail): head = lam/(d^-eps f2) and
-    the interference-product threshold tail = P (q^-eps u2 + r^-eps v2)/(l^-eps g2)."""
+def _interference(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig):
+    """P (q^-eps u2 + r^-eps v2): PU4's interference at BS1 and PU1, which both
+    the SU's power threshold and gamma2 divide by."""
     e = geom.epsilon
+    return cfg.p_cci_lin * (geom.q ** -e * np.asarray(draw.u2, dtype=float)
+                            + geom.r ** -e * np.asarray(draw.v2, dtype=float))
+
+
+def _power_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
+                lam: float, cci=None):
+    """(head, tail) with P_su1 = max(0, head - tail): head = lam/(d^-eps f2) and
+    the interference-product threshold tail = P (q^-eps u2 + r^-eps v2)/(l^-eps g2).
+    `cci`, if given, is the draw's `_interference`."""
+    e = geom.epsilon
+    if cci is None:
+        cci = _interference(draw, geom, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
         head = lam / (geom.d ** -e * np.asarray(draw.f2, dtype=float))
-        cci = cfg.p_cci_lin * (geom.q ** -e * np.asarray(draw.u2, dtype=float)
-                               + geom.r ** -e * np.asarray(draw.v2, dtype=float))
         return head, cci / (geom.l ** -e * np.asarray(draw.g2, dtype=float))
 
 
 def optimal_power(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
-                  lam: float):
+                  lam: float, terms=None):
     """Per-realization optimal transmit power under the solved water level.
 
     Zero exactly when the desired-channel gain falls below the
     interference-product threshold; degenerate zero-gain draws (f2 == 0 or
     g2 == 0, probability zero) also map to zero power so that bulk runs
-    never abort.
+    never abort. `terms`, if given, is the draw's (head, tail) from
+    `_power_terms`, for a caller that needs them too.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    head, tail = _power_terms(draw, geom, cfg, lam)
+    head, tail = _power_terms(draw, geom, cfg, lam) if terms is None else terms
     with np.errstate(invalid="ignore"):
         out = np.maximum(head - tail, 0.0)
-    degenerate = (np.asarray(draw.f2) == 0) | (np.asarray(draw.g2) == 0)
-    out = np.where(degenerate, 0.0, out)
+    f2, g2 = np.asarray(draw.f2), np.asarray(draw.g2)
+    if not (f2.all() and g2.all()):
+        out = np.where((f2 == 0) | (g2 == 0), 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 

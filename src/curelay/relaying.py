@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import FadingRealization, PowerConfig, ScenarioGeometry, derive_etas
-from .power import optimal_power
+from .power import _interference, optimal_power
 
 __all__ = [
     "SirSample",
@@ -65,10 +65,14 @@ def relay_gain(draw: FadingRealization, geom: ScenarioGeometry, p_cci: float, p_
 
 
 def _harmonic(num_a, num_b, den_b):
-    """a*b/(a + c) with infinity-aware fixups (limits of the finite formula)."""
+    """a*b/(a + c), taken to its limit where an input is infinite: b where
+    only a is, inf where all three are. Both fix-ups are for elements whose
+    finite formula gives inf/inf or inf*0, i.e. NaN, so an all-finite result
+    is returned as it is."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = num_a * num_b / (num_a + den_b)
-    # a -> inf with b, c finite: limit is b * a/(a+c) -> b... only when c finite
+    if np.isfinite(out).all():
+        return out
     a_inf = np.isinf(num_a)
     b_inf = np.isinf(num_b)
     c_inf = np.isinf(den_b)
@@ -77,15 +81,20 @@ def _harmonic(num_a, num_b, den_b):
     return out
 
 
+def _bs_terms(draw: FadingRealization, geom: ScenarioGeometry, p_su1, cci):
+    """(gamma1, gamma2) at SU power p_su1, given the draw's interference
+    cci = P (q^-eps u2 + r^-eps v2) (`power._interference`)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gamma1 = derive_etas(geom).eta1 * draw.h2 / draw.u2
+        gamma2 = p_su1 * (geom.l ** -geom.epsilon) * draw.g2 / cci
+    return gamma1, gamma2
+
+
 def bs_sir(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1):
     """(gamma1, gamma2, gamma_bs1) for a batch of draws at SU power p_su1
     (array or scalar); gamma_bs1 = gamma1 gamma2/(gamma1 + gamma2), taken to
     its limit where a component is infinite or gamma2 == 0."""
-    e = geom.epsilon
-    cci = cfg.p_cci_lin * (geom.q ** -e * draw.u2 + geom.r ** -e * draw.v2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma1 = derive_etas(geom).eta1 * draw.h2 / draw.u2
-        gamma2 = p_su1 * (geom.l ** -e) * draw.g2 / cci
+    gamma1, gamma2 = _bs_terms(draw, geom, p_su1, _interference(draw, geom, cfg))
     return gamma1, gamma2, _harmonic(gamma1, gamma2, gamma2)
 
 

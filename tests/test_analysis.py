@@ -3,6 +3,7 @@ closed form against brute force, and the rate curves."""
 
 import copy
 import math
+import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -26,10 +27,11 @@ from curelay import (
     su_outage_closed_form,
 )
 from curelay.analysis import (_UNIT_MEAN, SLICE_DRAWS, _at_mean, _critical, _gamma2_cdf,
-                              _outage_block, _outage_point)
+                              _outage_block, _outage_point, _rate_block, _sweep)
+from curelay.channels import dist_gamma_ratio, dist_t
 from curelay.mathkernel import NumericTolerance, integrate
-from curelay.power import _power_terms
-from curelay.relaying import check_gamma2_routes
+from curelay.power import _power_terms, fixed_power, optimal_power
+from curelay.relaying import bs_sir, check_gamma2_routes
 
 TIGHT = NumericTolerance(rel_tol=1e-11, abs_tol=1e-300, max_iter=4000)
 
@@ -329,6 +331,25 @@ def test_bounds_ordering(default_geom, default_cfg, solved):
     assert 0.0 < lo <= up < 1.0
 
 
+@pytest.mark.parametrize("gamma_bar_db", [0.0, 30.0])
+def test_bs_bounds_equal_scalar_evaluation(default_geom, default_cfg, solved, gamma_bar_db):
+    # one dist_t call on [c2, c2/(g+1), c2/(2g+1)] gives the bits of one
+    # scalar call per argument
+    cfg = replace(default_cfg, gamma_bar_db=gamma_bar_db)
+    et = derive_etas(default_geom)
+    c2 = solved / (et.eta4 * cfg.p_cci_lin)
+
+    def combined(g):
+        _, f1 = dist_gamma_ratio(g, et.eta1, cfg.gamma_bar_lin)
+        f2 = float(1.0 - dist_t(c2 / (g + 1.0), default_geom)[1] / dist_t(c2, default_geom)[1])
+        return float(f1 + f2 - f1 * f2)
+
+    for gamma_th in (1e-3, 0.5, 3.0, 40.0, 1e6):
+        got = outage_bs_bounds(gamma_th, default_geom, cfg, solved)
+        want = (combined(gamma_th), combined(2.0 * gamma_th))
+        assert [v.hex() for v in got] == [v.hex() for v in want], gamma_th
+
+
 # ---------------------------------------------------------------------------
 # SU-side closed form
 # ---------------------------------------------------------------------------
@@ -520,3 +541,84 @@ def test_rate_worker_invariance(default_geom, default_cfg, solved):
     b = rate_curve(default_geom, default_cfg, solved, ("optimal",), [25.0], 100_000,
                    seed=15, workers=4, block_size=25_000)
     assert a == b
+
+
+def _rate_reference(draw, cfg, geom, lam, policies):
+    """_rate_block's row from fresh whole-block arrays: the sums over the
+    draws where log2(1 + gamma2) and 0.5 log2(1 + gamma_bs1) are both finite."""
+    draw = _at_mean(copy.deepcopy(draw), cfg)
+    row = []
+    for policy in policies:
+        p_su1 = (optimal_power(draw, geom, cfg, lam) if policy == "optimal"
+                 else fixed_power(cfg, geom))
+        _, gamma2, gbs = bs_sir(draw, geom, cfg, p_su1)
+        valid = np.isfinite(gamma2) & np.isfinite(gbs)
+        obj = np.log1p(gamma2[valid]) / math.log(2.0)
+        e2e = 0.5 * np.log1p(gbs[valid]) / math.log(2.0)
+        row += (float(obj.sum()), float(np.square(obj).sum()), float(e2e.sum()),
+                int(np.count_nonzero(valid)))
+    return row
+
+
+def test_rate_block_matches_fresh_array_reference(default_geom, default_cfg, solved):
+    # a zero in each gain in turn, plus draws where gamma2 is infinite
+    # (u2 = v2 = 0) or gamma_bs1 is 0/0 (h2 = g2 = 0), which are not counted
+    draw = sample_fading(np.random.default_rng(29), _UNIT_MEAN, 50, w2=False)
+    for i, name in enumerate(("h2", "g2", "f2", "u2", "v2")):
+        getattr(draw, name)[i] = 0.0
+    draw.u2[20] = draw.v2[20] = 0.0
+    draw.h2[30] = draw.g2[30] = 0.0
+    policies = ("optimal", "fixed")
+    for gamma_bar_db in (0.0, 20.0):
+        cfg = replace(default_cfg, gamma_bar_db=gamma_bar_db)
+        want = _rate_reference(draw, cfg, default_geom, solved, policies)
+        assert want[3] == want[7] == 48
+        for n in (1, 7, 50):
+            got = _rate_block(copy.deepcopy(draw), cfg, default_geom, solved, policies, n)
+            assert got == want, (gamma_bar_db, n)
+
+
+def _fresh_workspace(n):
+    return [np.full(n, np.nan) for _ in range(curelay.analysis._WORKSPACE_ROWS)]
+
+
+def _sweep_sequence(geom, cfg, lam, workers):
+    """A rate sweep, an outage sweep after it and another outage sweep after
+    that, each over 2.5 blocks: the rows each returns."""
+    configs = [replace(cfg, gamma_bar_db=g) for g in (0.0, 20.0, 40.0)]
+    kw = dict(trials=50_000, seed=37, workers=workers, block_size=20_000)
+    rows = _sweep(_rate_block, [(c, geom, lam, ("optimal", "fixed"), 7_000) for c in configs[:2]],
+                  w2=False, **kw)
+    for gamma_th, side in ((3.0, "bs"), (0.5, "su")):
+        rows += _sweep(_outage_block, [(configs, geom, lam, gamma_th, side, 7_000)], **kw)
+    return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rows_equal_fresh_arrays(monkeypatch, default_geom, default_cfg, solved, workers):
+    # the reference gives every block fresh NaN-filled rows; the workspace
+    # starts too short and holds values from earlier sweeps
+    monkeypatch.setattr(curelay.analysis, "_workspace", _fresh_workspace)
+    want = _sweep_sequence(default_geom, default_cfg, solved, 1)
+    monkeypatch.undo()
+    short = threading.local()
+    short.rows = [np.full(100, 7.0) for _ in range(curelay.analysis._WORKSPACE_ROWS)]
+    monkeypatch.setattr(curelay.analysis, "_scratch", short)
+    assert _sweep_sequence(default_geom, default_cfg, solved, workers) == want
+    assert _sweep_sequence(default_geom, default_cfg, solved, workers) == want
+
+
+def test_sweeps_in_two_threads_equal_one_at_a_time(default_geom, default_cfg, solved):
+    want = _sweep_sequence(default_geom, default_cfg, solved, 1)
+    got = [None, None]
+
+    def run(i):
+        got[i] = _sweep_sequence(default_geom, default_cfg, solved, 1)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert got == [want, want]

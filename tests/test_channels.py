@@ -88,6 +88,33 @@ def test_sampler_deterministic(default_cfg):
         assert (getattr(a, name) == getattr(b, name)).all()
 
 
+@pytest.mark.parametrize("gamma_bar_db", [0.0, 30.0, -7.3])
+@pytest.mark.parametrize("w2", [True, False])
+def test_sample_fading_equals_exponential_with_and_without_out(default_cfg, gamma_bar_db, w2):
+    """Gains drawn as unit-mean exponentials and scaled in place, into fresh
+    arrays or into the rows of `out`, are bit for bit rng.exponential at the
+    gains' means, in the documented draw order, also for a single draw."""
+    cfg = replace(default_cfg, gamma_bar_db=gamma_bar_db)
+    names = ("h2", "g2", "f2", "u2", "v2", "w2")[:6 if w2 else 5]
+    for size in (None, 1000):
+        rng = np.random.default_rng([9, 4])
+        want = [rng.exponential(cfg.gamma_bar_lin if i < 3 else 1.0, size)
+                for i in range(len(names))]
+        got = sample_fading(np.random.default_rng([9, 4]), cfg, size, w2=w2)
+        assert [np.asarray(getattr(got, n)).tobytes() for n in names] == \
+            [np.asarray(a).tobytes() for a in want]
+        assert (got.w2 is None) != w2
+    rows = [np.full(1200, np.nan) for _ in range(8)]
+    out = [row[:1000] for row in rows]
+    got = sample_fading(np.random.default_rng([9, 4]), cfg, 1000, w2=w2, out=out)
+    for i, name in enumerate(names):
+        assert getattr(got, name) is out[i]
+        assert getattr(got, name).tobytes() == want[i].tobytes()
+    assert (got.w2 is None) != w2
+    assert all(np.isnan(row[1000:]).all() for row in rows)
+    assert all(np.isnan(row).all() for row in rows[len(names):])
+
+
 def test_unit_draw_scales_bitwise_to_gamma_bar(default_cfg):
     """The sweep engine samples unit-mean gains once per block and scales
     h2, g2, f2 by each point's gamma_bar. That reproduces sampling at

@@ -114,6 +114,50 @@ def test_psi_domain_error():
         tricomi_psi11(-0.5)
 
 
+def _psi_cf_guarded(x):
+    """Lentz's scheme for e^x E1(x) with its zero-denominator guards, element
+    by element on Python floats: the reference for mathkernel._psi_cf."""
+    tiny = 1e-300
+    out = []
+    for xi in x.tolist():
+        f = c = xi + 1.0
+        d = 0.0
+        for k in range(1, 400):
+            a = -float(k * k)
+            b = xi + (2 * k + 1)
+            d = b + a * d
+            if abs(d) < tiny:
+                d = tiny
+            c = b + a / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = c * d
+            f = f * delta
+            if not abs(delta - 1.0) > 1e-16:
+                break
+        out.append(1.0 / f)
+    return np.array(out)
+
+
+def test_psi_cf_without_guards_matches_guarded_reference():
+    # the special values alone finish on Python floats; among 2,000 others
+    # they go through the numpy loop
+    special = np.array([1.0 + 1e-15, 1.5, 2.0, 1e300, 1.7e308, np.inf])
+    rng = np.random.default_rng(8)
+    cases = [
+        special,
+        rng.permutation(np.concatenate([special, 1.0 + rng.exponential(5.0, 2000)])),
+        np.exp(rng.uniform(0.0, 700.0, 500)),
+        1.0 + rng.uniform(0.0, 1e-3, 100),
+    ]
+    for x in cases:
+        with np.errstate(invalid="ignore"):
+            got = mathkernel._psi_cf(x.copy())
+        assert got.tobytes() == _psi_cf_guarded(x).tobytes()
+        assert np.isnan(got[np.isinf(x)]).all()
+
+
 # ---------------------------------------------------------------------------
 # 2F1
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 sandwich, and the symbol-level oracle that re-derives the SIRs from the
 received-signal equations instead of the closed forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from curelay import (
     solve_water_level,
     symbol_level_oracle,
 )
+from curelay.relaying import _harmonic
 
 ROUND_SLACK = 1e-13  # covers IEEE rounding of the closed-form expressions
 
@@ -89,6 +92,34 @@ def test_harmonic_combine_exact(default_geom, default_cfg):
     assert s.gamma1[0] == pytest.approx(4.0, rel=1e-12)
     assert s.gamma2[0] == pytest.approx(4.0, rel=1e-12)
     assert s.gamma_bs1[0] == pytest.approx(2.0, rel=1e-12)
+
+
+HARMONIC_VALUES = (0.0, 1e-300, 1e-3, 1.0, 7.5, 1e300, np.inf, np.nan)
+
+
+def test_harmonic_limits_for_infinite_inputs():
+    a, b, c = np.array(list(itertools.product(HARMONIC_VALUES, repeat=3))).T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want = a * b / (a + c)
+    only_a = np.isinf(a) & ~np.isinf(b) & ~np.isinf(c)
+    want[only_a] = b[only_a]
+    want[np.isinf(a) & np.isinf(b) & np.isinf(c)] = np.inf
+    assert _harmonic(a, b, c).tobytes() == want.tobytes()
+    for i in range(a.size):  # one element at a time, all-finite results included
+        got = _harmonic(a[i:i + 1], b[i:i + 1], c[i:i + 1])
+        assert got.tobytes() == want[i:i + 1].tobytes(), (a[i], b[i], c[i])
+    inf = np.float64(np.inf)
+    assert _harmonic(inf, np.float64(2.0), np.float64(3.0)) == 2.0
+    assert _harmonic(inf, inf, inf) == np.inf
+    assert _harmonic(np.float64(2.0), np.float64(2.0), np.float64(2.0)) == 1.0
+
+
+def test_gamma_bs1_is_not_finite_where_gamma2_is_not():
+    # the rate block counts a draw where gamma_bs1 is finite, which must
+    # imply that gamma2 is finite too
+    g1, g2 = np.array(list(itertools.product(HARMONIC_VALUES, repeat=2))).T
+    gbs = _harmonic(g1, g2, g2)
+    assert not (np.isfinite(gbs) & ~np.isfinite(g2)).any()
 
 
 def test_zero_power_collapses(default_geom, default_cfg):
