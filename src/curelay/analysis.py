@@ -23,11 +23,15 @@ A block does not allocate its block-length arrays: each process (each
 thread of it) keeps one workspace of eight float64 rows (`_workspace`), and
 every block it runs, in a pool worker every task too, draws its gains into
 rows 0-5 (0-4 without w2); a rate block, which reads no w2, packs its three
-term arrays into rows 5-7. A shorter last block uses the leading elements
-of each row. The rows are scratch, not a cache: a block writes every
-element before it reads it, so its row is the same as with fresh arrays,
-and only the page faults of fresh memory (about 16 MB a rate block) are
-saved.
+term arrays into rows 5-7. An outage slice allocates only the dual-route
+check's two arrays of its length: the same workspace holds seven
+slice-length float64 rows and three bool rows (`_slice_rows`), into which
+`_critical` and the per-point counting write every other temporary, through
+the `out=` rows of the helpers that hold each formula. A shorter last block or slice uses the leading elements of
+each row. The rows are scratch, not a cache: every user writes an element
+before it reads it, so its result is the same as with fresh arrays, and
+only the page faults of fresh memory (about 16 MB a rate block, thousands
+of faults an outage block) are saved.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
@@ -85,16 +89,14 @@ __all__ = [
 BLOCK_SIZE = 250_000
 OUTAGE_MIN_TRIALS = 10_000
 RATE_MIN_TRIALS = 100_000
-# Draws per slice of a block's elementwise work: the slice's temporaries
-# (16,384 x 8 B = 128 KiB each) stay in cache. Since the block-length arrays
-# live in the workspace and are no longer freed each block, glibc's dynamic
-# mmap threshold stays where earlier, smaller frees left it (about 256-512
-# KiB after a water-level solve), and its trim threshold, twice that, lies
-# below a slice's working set, so memory freed after a slice goes back to
-# the OS and faults in again in the next one. Measured per 250k-draw block
-# in one process (2-vCPU x86-64 host, glibc malloc): about 400 minor faults
-# a rate block and 1,300-3,700 an outage block, against 4,200 and 3,400 with
-# fresh block arrays; 16,000 draws gives the same.
+# Draws per slice of a block's elementwise work: a slice's rows (16,384 x
+# 8 B = 128 KiB each) stay in cache, and counts and rate sums do not depend
+# on it. An outage slice's temporaries live in workspace rows, so the
+# length no longer decides how often freed memory faults back in. Medians of
+# 24 alternated 250k-draw blocks in one process (2-vCPU x86-64 host, numpy
+# 2.4): BS outage 23.3 / 22.8 / 24.0 ms, SU outage 24.0 / 22.4 / 24.0 ms and
+# rate 23.8 / 23.8 / 25.8 ms at 8,192 / 16,384 / 32,768 draws; 16,384 is
+# the fastest or level with it on each.
 SLICE_DRAWS = 16_384
 # Relative half-width of the band around a draw's critical gamma_bar inside
 # which an outage point takes the exact per-point path; the same width
@@ -177,18 +179,39 @@ def _at_mean(draw, cfg):
 # what it was with fresh arrays: for one 2-D array numpy asks for huge
 # pages, and those straddle the rows a block leaves untouched.
 _WORKSPACE_ROWS = 8
+# Slice rows: the float and bool rows _critical returns an outage slice's
+# crit and exact in, then scratch rows for the slice's temporaries: six float
+# (interference, head, tail, P_su1, gamma1, gamma2) and two bool (comparison
+# masks), which the counting in _outage_block reuses once _critical returns.
+_SLICE_ROWS, _SLICE_MASKS = 7, 3
 _scratch = threading.local()
 
 
-def _workspace(n):
-    """This thread's workspace rows, cut to their leading n elements; they
-    are reallocated only when shorter than n. Their contents are whatever
-    the last block left: a block writes every element before it reads it."""
-    rows = getattr(_scratch, "rows", ())
+def _rows(name, count, n, dtype=float):
+    """`count` rows of this thread's workspace set `name`, cut to their
+    leading n elements; they are reallocated only when shorter than n.
+    Their contents are whatever the last user left: every user writes an
+    element before it reads it."""
+    rows = getattr(_scratch, name, ())
     if not rows or rows[0].size < n:
-        rows = _scratch.rows = None  # freed before the longer rows are allocated
-        rows = _scratch.rows = [np.empty(n) for _ in range(_WORKSPACE_ROWS)]
+        rows = None  # the shorter rows are freed before the longer ones are allocated
+        setattr(_scratch, name, None)
+        rows = [np.empty(n, dtype) for _ in range(count)]
+        setattr(_scratch, name, rows)
     return [row[:n] for row in rows]
+
+
+def _workspace(n):
+    """This thread's block-length workspace rows for a block of n draws."""
+    return _rows("rows", _WORKSPACE_ROWS, n)
+
+
+def _slice_rows(n):
+    """(crit, exact, rows, masks): this thread's slice rows for a slice of
+    n draws, the result rows first and then the float and bool scratch rows."""
+    crit, *rows = _rows("slice_rows", _SLICE_ROWS, n)
+    exact, *masks = _rows("slice_masks", _SLICE_MASKS, n, bool)
+    return crit, exact, rows, masks
 
 
 def _run_block(task):
@@ -233,34 +256,59 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
     """(crit, exact) per draw of a unit-mean `draw`: the draw is in outage
     at mean gamma_bar iff gamma_bar < crit (inf: at every gamma_bar; nan:
     counted at none, or exact), and `exact` marks the draws that take the
-    exact per-point path at every point (see _CRIT_BAND)."""
-    cci = _interference(draw, geom, cfg)
-    head, tail = _power_terms(draw, geom, cfg, lam, cci)
-    p_su1 = optimal_power(draw, geom, cfg, lam, terms=(head, tail))
-    gamma1, gamma2 = _bs_terms(draw, geom, p_su1, cci)
+    exact per-point path at every point (see _CRIT_BAND). Both are this
+    thread's result rows (`_slice_rows`), valid until the next slice.
+    `draw` is at most one slice (SLICE_DRAWS draws) long: the thread keeps
+    its slice rows at the longest length it has been given."""
+    crit, exact, (cci, head, tail, p_su1, gamma1, gamma2), (m1, m2) = _slice_rows(draw.h2.size)
+    _interference(draw, geom, cfg, out=(cci, head))
+    _power_terms(draw, geom, cfg, lam, cci, out=(head, tail))
+    optimal_power(draw, geom, cfg, lam, terms=(head, tail), out=p_su1)
+    _bs_terms(draw, geom, p_su1, cci, out=(gamma1, gamma2))
     check_gamma2_routes(draw, geom, cfg, lam, gamma2)
+    band = _CRIT_BAND
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gains = draw.h2 * draw.g2 * draw.f2 * draw.u2 * draw.v2 * draw.w2
-        exact = ~((gains > 0) & (gains < np.inf)) | ~(np.abs(head - tail) > _CRIT_BAND * head)
+        # exact unless 0 < gains < inf and |head - tail| > band head
+        gains = np.multiply(draw.h2, draw.g2, out=cci)
+        for gain in (draw.f2, draw.u2, draw.v2, draw.w2):
+            np.multiply(gains, gain, out=gains)
+        np.greater(gains, 0.0, out=exact)
+        exact &= np.less(gains, np.inf, out=m1)
+        gap = np.abs(np.subtract(head, tail, out=cci), out=cci)
+        exact &= np.greater(gap, np.multiply(band, head, out=tail), out=m1)
+        np.logical_not(exact, out=exact)
         if side == "bs":
             # gamma_bs1 = gamma1 gamma2/(gamma1 + gamma2) with gamma1 = gamma_bar a1
             # and gamma2 free of gamma_bar: in outage at every gamma_bar when
             # gamma2 <= gamma_th, else iff gamma1 < gamma_th gamma2/(gamma2 - gamma_th)
-            exact |= np.abs(gamma2 - gamma_th) <= _CRIT_BAND * (1.0 + gamma_th)
-            above = gamma2 > gamma_th
-            crit = np.where(above, gamma_th * gamma2 / ((gamma2 - gamma_th) * gamma1), np.inf)
-            exact |= above & ~np.isfinite(crit)
-            crit[p_su1 == 0] = np.nan
+            near = np.abs(np.subtract(gamma2, gamma_th, out=cci), out=cci)
+            exact |= np.less_equal(near, band * (1.0 + gamma_th), out=m1)
+            above = np.greater(gamma2, gamma_th, out=m1)
+            num = np.multiply(gamma_th, gamma2, out=head)
+            den = np.multiply(np.subtract(gamma2, gamma_th, out=tail), gamma1, out=tail)
+            np.divide(num, den, out=crit)
+            # inf where not above, else the quotient: fmax with +inf there and
+            # -inf elsewhere (a masked write on this dense, random mask takes
+            # ~5x as long); a NaN quotient above becomes -inf, and the draw
+            # exact, as it would be with the NaN
+            np.fmax(crit, np.multiply(np.subtract(0.5, above, out=cci), np.inf, out=cci),
+                    out=crit)
+            above &= np.logical_not(np.isfinite(crit, out=m2), out=m2)
+            exact |= above
+            np.copyto(crit, np.nan, where=np.equal(p_su1, 0.0, out=m1))
         else:
             # gamma3 = gamma_bar a3, gamma4 = gamma_bar a4 and the SU's own
             # term k of gamma5 is free of gamma_bar, so gamma_su1 < gamma_th iff
             # gamma_bar lies below the positive root of
             # gamma_bar^2 a3 a4 - gamma_bar gamma_th (a3 + a4) - gamma_th k
-            a3, a4, k = _su_terms(draw, geom, cfg, p_su1)
-            a, tb = a3 * a4, gamma_th * (a3 + a4)
-            crit = (tb + np.sqrt(tb * tb + 4.0 * gamma_th * a * k)) / (2.0 * a)
-            exact |= ~np.isfinite(crit)
-    crit[exact] = np.nan
+            a3, a4, k = _su_terms(draw, geom, cfg, p_su1, out=(cci, head, tail))
+            a = np.multiply(a3, a4, out=gamma1)
+            tb = np.multiply(gamma_th, np.add(a3, a4, out=gamma2), out=gamma2)
+            disc = np.multiply(np.multiply(4.0 * gamma_th, a, out=a4), k, out=a4)
+            disc = np.sqrt(np.add(np.multiply(tb, tb, out=a3), disc, out=a3), out=a3)
+            np.divide(np.add(tb, disc, out=a3), np.multiply(2.0, a, out=a4), out=crit)
+            exact |= np.logical_not(np.isfinite(crit, out=m1), out=m1)
+    np.copyto(crit, np.nan, where=exact)
     return crit, exact
 
 
@@ -269,21 +317,25 @@ def _outage_block(draw, configs, geom, lam, gamma_th, side, slice_draws):
     one row, for the unit-mean `draw`, counted over its slices of at most
     `slice_draws` draws. One comparison with each draw's critical gamma_bar
     decides the draw, except the exact draws and those within _CRIT_BAND of
-    their critical value, which take the exact per-point path."""
+    their critical value, which take the exact per-point path. Every slice
+    temporary lives in this thread's slice rows."""
     unit = replace(configs[0], gamma_bar_db=0.0)
     row = [0] * (2 * len(configs))
     for piece in _slices(draw, slice_draws):
         crit, exact = _critical(piece, unit, geom, lam, gamma_th, side)
-        lo, hi = crit * (1.0 - _CRIT_BAND), crit * (1.0 + _CRIT_BAND)
-        n_decided = int(np.count_nonzero(~np.isnan(crit)))
+        _, _, (lo, hi, *_), (m1, m2) = _slice_rows(piece.h2.size)  # scratch from here on
+        np.multiply(crit, 1.0 - _CRIT_BAND, out=lo)
+        np.multiply(crit, 1.0 + _CRIT_BAND, out=hi)
+        n_decided = piece.h2.size - int(np.count_nonzero(np.isnan(crit, out=m1)))
         any_exact = bool(exact.any())
         for j, cfg in enumerate(configs):
             g = cfg.gamma_bar_lin
-            n_out = int(np.count_nonzero(lo > g))
-            n_band = int(np.count_nonzero(hi >= g)) - n_out
+            n_out = int(np.count_nonzero(np.greater(lo, g, out=m1)))
+            n_band = int(np.count_nonzero(np.greater_equal(hi, g, out=m2))) - n_out
             n_counted = n_decided - n_band
             if n_band or any_exact:
-                pick = exact | ((lo <= g) & (hi >= g))
+                pick = np.logical_and(np.less_equal(lo, g, out=m1), m2, out=m1)
+                pick |= exact
                 e_out, e_counted = _outage_point(_at_mean(_select(piece, pick), cfg), cfg, geom,
                                                  lam, gamma_th, side)
                 n_out, n_counted = n_out + e_out, n_counted + e_counted

@@ -89,8 +89,9 @@ def _e1_series(x):
     """Power series E1(x) = -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!), x <= 1."""
     acc = np.zeros_like(x)
     term = np.ones_like(x)
+    neg = -x
     for k in range(1, _E1_SERIES_TERMS + 1):
-        term = term * (-x) / k
+        term = term * neg / k
         acc = acc - term / k
     return -EULER_GAMMA - np.log(x) + acc
 

@@ -212,46 +212,61 @@ def closed_form_check(lam: float, geom: ScenarioGeometry, cfg: PowerConfig) -> C
     )
 
 
-def _interference(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig):
+def _interference(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
+                  out=(None, None)):
     """P (q^-eps u2 + r^-eps v2): PU4's interference at BS1 and PU1, which both
-    the SU's power threshold and gamma2 divide by."""
+    the SU's power threshold and gamma2 divide by. `out`, if given, is the
+    row for the result and a scratch row, each shaped like the gains."""
     e = geom.epsilon
-    return cfg.p_cci_lin * (geom.q ** -e * np.asarray(draw.u2, dtype=float)
-                            + geom.r ** -e * np.asarray(draw.v2, dtype=float))
+    row, scratch = out
+    cci = np.multiply(geom.q ** -e, np.asarray(draw.u2, dtype=float), out=row)
+    cci = np.add(cci, np.multiply(geom.r ** -e, np.asarray(draw.v2, dtype=float), out=scratch),
+                 out=row)
+    return np.multiply(cfg.p_cci_lin, cci, out=row)
 
 
 def _power_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
-                lam: float, cci=None):
+                lam: float, cci=None, out=(None, None)):
     """(head, tail) with P_su1 = max(0, head - tail): head = lam/(d^-eps f2) and
     the interference-product threshold tail = P (q^-eps u2 + r^-eps v2)/(l^-eps g2).
-    `cci`, if given, is the draw's `_interference`."""
+    `cci`, if given, is the draw's `_interference`; `out`, if given, holds
+    the rows for head and tail."""
     e = geom.epsilon
     if cci is None:
         cci = _interference(draw, geom, cfg)
+    head, tail = out
     with np.errstate(divide="ignore", invalid="ignore"):
-        head = lam / (geom.d ** -e * np.asarray(draw.f2, dtype=float))
-        return head, cci / (geom.l ** -e * np.asarray(draw.g2, dtype=float))
+        head = np.divide(lam, np.multiply(geom.d ** -e, np.asarray(draw.f2, dtype=float),
+                                          out=head), out=head)
+        tail = np.divide(cci, np.multiply(geom.l ** -e, np.asarray(draw.g2, dtype=float),
+                                          out=tail), out=tail)
+    return head, tail
 
 
 def optimal_power(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,
-                  lam: float, terms=None):
+                  lam: float, terms=None, out=None):
     """Per-realization optimal transmit power under the solved water level.
 
     Zero exactly when the desired-channel gain falls below the
     interference-product threshold; degenerate zero-gain draws (f2 == 0 or
     g2 == 0, probability zero) also map to zero power so that bulk runs
     never abort. `terms`, if given, is the draw's (head, tail) from
-    `_power_terms`, for a caller that needs them too.
+    `_power_terms`, for a caller that needs them too; `out`, if given, is
+    the row the powers are written into.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     head, tail = _power_terms(draw, geom, cfg, lam) if terms is None else terms
     with np.errstate(invalid="ignore"):
-        out = np.maximum(head - tail, 0.0)
+        p_su1 = np.maximum(np.subtract(head, tail, out=out), 0.0, out=out)
     f2, g2 = np.asarray(draw.f2), np.asarray(draw.g2)
     if not (f2.all() and g2.all()):
-        out = np.where((f2 == 0) | (g2 == 0), 0.0, out)
-    return float(out) if out.ndim == 0 else out
+        zero = (f2 == 0) | (g2 == 0)
+        if out is None:
+            p_su1 = np.where(zero, 0.0, p_su1)
+        else:
+            np.copyto(out, 0.0, where=zero)
+    return float(p_su1) if p_su1.ndim == 0 else p_su1
 
 
 def fixed_power(cfg: PowerConfig, geom: ScenarioGeometry) -> float:

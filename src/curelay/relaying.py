@@ -29,7 +29,6 @@ __all__ = [
     "symbol_level_oracle",
 ]
 
-
 @dataclass(frozen=True)
 class SirSample:
     """SIR components and end-to-end SIRs for a batch of fading draws.
@@ -81,12 +80,17 @@ def _harmonic(num_a, num_b, den_b):
     return out
 
 
-def _bs_terms(draw: FadingRealization, geom: ScenarioGeometry, p_su1, cci):
+def _bs_terms(draw: FadingRealization, geom: ScenarioGeometry, p_su1, cci, out=(None, None)):
     """(gamma1, gamma2) at SU power p_su1, given the draw's interference
-    cci = P (q^-eps u2 + r^-eps v2) (`power._interference`)."""
+    cci = P (q^-eps u2 + r^-eps v2) (`power._interference`). `out`, if
+    given, holds the rows for gamma1 and gamma2."""
+    row1, row2 = out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma1 = derive_etas(geom).eta1 * draw.h2 / draw.u2
-        gamma2 = p_su1 * (geom.l ** -geom.epsilon) * draw.g2 / cci
+        gamma1 = np.divide(np.multiply(derive_etas(geom).eta1, draw.h2, out=row1), draw.u2,
+                           out=row1)
+        gamma2 = np.multiply(np.multiply(p_su1, geom.l ** -geom.epsilon, out=row2), draw.g2,
+                             out=row2)
+        gamma2 = np.divide(gamma2, cci, out=row2)
     return gamma1, gamma2
 
 
@@ -98,35 +102,50 @@ def bs_sir(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_
     return gamma1, gamma2, _harmonic(gamma1, gamma2, gamma2)
 
 
-def _su_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1):
+def _su_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1,
+              out=(None, None, None)):
     """(gamma3, gamma4, gamma5 - gamma4) at SU power p_su1, where
-    gamma5 - gamma4 = P_su1 l^-eps g2/(P r^-eps v2) is the SU's own term."""
+    gamma5 - gamma4 = P_su1 l^-eps g2/(P r^-eps v2) is the SU's own term.
+    `out`, if given, holds the three rows; p_su1 may share none of them."""
     et = derive_etas(geom)
     e = geom.epsilon
+    row3, row4, row_k = out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return (et.eta2 * draw.g2 / draw.w2, et.eta3 * draw.h2 / draw.v2,
-                p_su1 * (geom.l ** -e) * draw.g2 / (cfg.p_cci_lin * geom.r ** -e * draw.v2))
+        # the own term's numerator goes through gamma4's row before gamma4 does
+        num = np.multiply(np.multiply(p_su1, geom.l ** -e, out=row4), draw.g2, out=row4)
+        own = np.divide(num, np.multiply(cfg.p_cci_lin * geom.r ** -e, draw.v2, out=row_k),
+                        out=row_k)
+        gamma3 = np.divide(np.multiply(et.eta2, draw.g2, out=row3), draw.w2, out=row3)
+        gamma4 = np.divide(np.multiply(et.eta3, draw.h2, out=row4), draw.v2, out=row4)
+    return gamma3, gamma4, own
 
 
 def check_gamma2_routes(draw: FadingRealization, geom: ScenarioGeometry,
                         cfg: PowerConfig, lam: float, gamma2):
     """Raise RuntimeError when gamma2 grossly disagrees with its
     reformulation max(0, c2/T - 1), c2 = lam/(eta4 P): that would indicate
-    an algebra transcription bug."""
-    e = geom.epsilon
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (geom.q ** -e * draw.u2 + geom.r ** -e * draw.v2) * (draw.f2 / draw.g2)
-        gamma2_alt = np.maximum(lam / (derive_etas(geom).eta4 * cfg.p_cci_lin) / t - 1.0, 0.0)
+    an algebra transcription bug.
 
-    # mixed abs/rel: near the clipping boundary gamma2 -> 0+ cancellation
-    # makes a pure relative comparison meaningless
-    both = np.isfinite(gamma2) & np.isfinite(gamma2_alt)
-    if both.any():
-        gap = np.abs(gamma2[both] - gamma2_alt[both]) / np.maximum(
-            1.0, np.maximum(gamma2[both], gamma2_alt[both]))
-        if gap.max() > 1e-9:
-            raise RuntimeError(
-                f"gamma2 dual-route disagreement: max deviation {gap.max():.3e}")
+    The deviation is mixed abs/rel, |gamma2 - alt|/max(1, gamma2, alt)
+    (near the clipping boundary gamma2 -> 0+ cancellation makes a pure
+    relative comparison meaningless), judged over the draws where both
+    routes are finite. An inf or NaN on either route makes a draw's
+    deviation NaN, which `fmax` skips, so no draw is gathered; the check
+    allocates two arrays of the draws' length."""
+    e = geom.epsilon
+    c2 = lam / (derive_etas(geom).eta4 * cfg.p_cci_lin)
+    u2, v2, f2, g2, gamma2 = (np.atleast_1d(a) for a in (draw.u2, draw.v2, draw.f2, draw.g2,
+                                                          gamma2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # alt = max(0, c2/T - 1), T = (q^-eps u2 + r^-eps v2) f2/g2
+        alt, tmp = geom.q ** -e * u2, geom.r ** -e * v2
+        np.multiply(np.add(alt, tmp, out=alt), np.divide(f2, g2, out=tmp), out=alt)
+        np.maximum(np.subtract(np.divide(c2, alt, out=alt), 1.0, out=alt), 0.0, out=alt)
+        gap = np.abs(np.subtract(gamma2, alt, out=tmp), out=tmp)
+        np.divide(gap, np.maximum(1.0, np.maximum(gamma2, alt, out=alt), out=alt), out=gap)
+    dev = np.fmax.reduce(gap, axis=None, initial=0.0)
+    if dev > 1e-9:
+        raise RuntimeError(f"gamma2 dual-route disagreement: max deviation {dev:.3e}")
 
 
 def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig,

@@ -4,6 +4,7 @@ closed form against brute force, and the rate curves."""
 import copy
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -26,8 +27,9 @@ from curelay import (
     solve_water_level,
     su_outage_closed_form,
 )
-from curelay.analysis import (_UNIT_MEAN, SLICE_DRAWS, _at_mean, _critical, _gamma2_cdf,
-                              _outage_block, _outage_point, _rate_block, _sweep)
+from curelay.analysis import (BLOCK_SIZE, _UNIT_MEAN, SLICE_DRAWS, _at_mean, _critical,
+                              _gamma2_cdf, _outage_block, _outage_point, _rate_block, _run_block,
+                              _slices, _sweep)
 from curelay.channels import dist_gamma_ratio, dist_t
 from curelay.mathkernel import NumericTolerance, integrate
 from curelay.power import _power_terms, fixed_power, optimal_power
@@ -140,6 +142,67 @@ def test_dual_route_check_raises_on_disagreement(default_geom, default_cfg, solv
     check_gamma2_routes(draw, default_geom, default_cfg, solved, s.gamma2)
     with pytest.raises(RuntimeError, match="dual-route"):
         check_gamma2_routes(draw, default_geom, default_cfg, solved, s.gamma2 * (1 + 1e-6) + 1e-6)
+
+
+def _masked_route_check(draw, geom, cfg, lam, gamma2):
+    """The dual-route check judged over the gathered finite draws only: None
+    or the RuntimeError's message."""
+    e = geom.epsilon
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (geom.q ** -e * draw.u2 + geom.r ** -e * draw.v2) * (draw.f2 / draw.g2)
+        alt = np.maximum(lam / (derive_etas(geom).eta4 * cfg.p_cci_lin) / t - 1.0, 0.0)
+    both = np.isfinite(gamma2) & np.isfinite(alt)
+    if both.any():
+        gap = np.abs(gamma2[both] - alt[both]) / np.maximum(
+            1.0, np.maximum(gamma2[both], alt[both]))
+        if gap.max() > 1e-9:
+            return f"gamma2 dual-route disagreement: max deviation {gap.max():.3e}"
+    return None
+
+
+def _route_check_outcome(draw, geom, cfg, lam, gamma2):
+    try:
+        check_gamma2_routes(draw, geom, cfg, lam, gamma2)
+    except RuntimeError as err:
+        return str(err)
+    return None
+
+
+def test_dual_route_check_decides_as_the_masked_check(default_geom, default_cfg, solved):
+    # elements first, in the middle and last in the slice, on draws where
+    # gamma2 > 1 so that a 1e-8 relative change is a 1e-8 gap
+    unit = replace(default_cfg, gamma_bar_db=0.0)
+    draw = sample_fading(np.random.default_rng(41), _UNIT_MEAN, SLICE_DRAWS)
+    gamma2 = bs_sir(draw, default_geom, unit, optimal_power(draw, default_geom, unit, solved))[1]
+    big = np.flatnonzero(gamma2 > 1.0)
+    spots = [int(big[0]), int(big[big.size // 2]), int(big[-1])]
+    # a zero f2 and u2 = v2 = 0 make the reformulation inf, f2 = g2 = 0 NaN
+    alt_inf, alt_nan = dict(f2=0.0), dict(f2=0.0, g2=0.0)
+
+    def case(bumped=(), gamma2_at=None, gains=None):
+        d, g = copy.deepcopy(draw), gamma2.copy()
+        for i in bumped:
+            g[i] *= 1.0 + 1e-8
+        if gamma2_at is not None:
+            g[gamma2_at[0]] = gamma2_at[1]
+        for name, value in (gains or {}).items():
+            getattr(d, name)[spots[1] + 1] = value
+        want = _masked_route_check(d, default_geom, unit, solved, g)
+        assert _route_check_outcome(d, default_geom, unit, solved, g) == want
+        return want
+
+    assert case() is None
+    for i in spots:
+        assert case(bumped=[i]).startswith("gamma2 dual-route disagreement"), i
+    assert case(bumped=spots) is not None
+    for bad in (np.inf, np.nan):
+        for k, i in enumerate(spots):
+            assert case(gamma2_at=(i, bad)) is None
+            assert case(bumped=[spots[k - 1]], gamma2_at=(i, bad)) is not None
+    for gains in (alt_inf, alt_nan):
+        assert case(gains=gains) is None
+        assert case(bumped=[spots[1]], gains=gains) is not None
+        assert case(gamma2_at=(spots[1] + 1, np.inf), gains=gains) is None
 
 
 def test_outage_bs_counts_transmitting_draw_with_zero_v2(default_geom, default_cfg, solved):
@@ -279,6 +342,98 @@ def test_critical_value_headroom(default_geom, default_cfg, solved, side):
                 assert exact(c * (1 - Fraction(tol))) < 0 < exact(c * (1 + Fraction(tol))), i
             checked += 1
     assert checked > 200
+
+
+def _critical_reference(draw, cfg, geom, lam, gamma_th, side):
+    """_critical's (crit, exact) from the formulas written out on fresh
+    arrays: the reference the fused kernel must match bit for bit."""
+    e, et = geom.epsilon, derive_etas(geom)
+    h2, g2, f2, u2, v2, w2 = draw.h2, draw.g2, draw.f2, draw.u2, draw.v2, draw.w2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cci = cfg.p_cci_lin * (geom.q ** -e * u2 + geom.r ** -e * v2)
+        head = lam / (geom.d ** -e * f2)
+        tail = cci / (geom.l ** -e * g2)
+        p_su1 = np.where((f2 == 0) | (g2 == 0), 0.0, np.maximum(head - tail, 0.0))
+        gamma1 = et.eta1 * h2 / u2
+        gamma2 = p_su1 * (geom.l ** -e) * g2 / cci
+        gains = h2 * g2 * f2 * u2 * v2 * w2
+        exact = ~((gains > 0) & (gains < np.inf)) | ~(np.abs(head - tail) > _band() * head)
+        if side == "bs":
+            exact |= np.abs(gamma2 - gamma_th) <= _band() * (1.0 + gamma_th)
+            above = gamma2 > gamma_th
+            crit = np.where(above, gamma_th * gamma2 / ((gamma2 - gamma_th) * gamma1), np.inf)
+            exact |= above & ~np.isfinite(crit)
+            crit[p_su1 == 0] = np.nan
+        else:
+            a3, a4 = et.eta2 * g2 / w2, et.eta3 * h2 / v2
+            k = p_su1 * (geom.l ** -e) * g2 / (cfg.p_cci_lin * geom.r ** -e * v2)
+            a, tb = a3 * a4, gamma_th * (a3 + a4)
+            crit = (tb + np.sqrt(tb * tb + 4.0 * gamma_th * a * k)) / (2.0 * a)
+            exact |= ~np.isfinite(crit)
+    crit[exact] = np.nan
+    return crit, exact
+
+
+def _band():
+    return curelay.analysis._CRIT_BAND
+
+
+def _adversarial_draw(geom, cfg, lam, n):
+    """n unit-mean draws, the first ones made to hit each guard: zero,
+    1e-300 and infinite gains, P_su1 == 0, and |head - tail| inside the band."""
+    draw = sample_fading(np.random.default_rng(43), _UNIT_MEAN, n)
+    for i, name in enumerate(("h2", "g2", "f2", "u2", "v2", "w2")):
+        getattr(draw, name)[i] = 0.0
+        getattr(draw, name)[6 + i] = 1e-300
+        getattr(draw, name)[12 + i] = np.inf
+    draw.f2[18] = 1e6  # head far below tail: P_su1 == 0
+    head, tail = _power_terms(draw, geom, cfg, lam)
+    for i, rel in ((19, 1e-9), (20, 0.5 * _band()), (21, -0.5 * _band())):
+        draw.f2[i] = lam / (geom.d ** -geom.epsilon * tail[i] * (1.0 + rel))
+    return draw
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_critical_equals_reference_bit_for_bit(default_geom, default_cfg, solved, side):
+    # slices of 1, 7 and SLICE_DRAWS draws, the last slice shorter than the
+    # rows an earlier, longer one has left its values in
+    unit = replace(default_cfg, gamma_bar_db=0.0)
+    draw = _adversarial_draw(default_geom, unit, solved, SLICE_DRAWS + 300)
+    gamma2 = bs_sir(draw, default_geom, unit, optimal_power(draw, default_geom, unit, solved))[1]
+    on_gamma2 = float(gamma2[np.flatnonzero(gamma2 > 0)[5]])  # a draw with gamma2 == gamma_th
+    checked = 0
+    for gamma_th in (0.0, 0.5, 3.0, on_gamma2, 1e300, 1.7e308):
+        for size in (SLICE_DRAWS, 7, 1):
+            pieces = list(_slices(draw, size))
+            if size == 1:
+                pieces = pieces[:40] + pieces[-3:]
+            for piece in pieces:
+                crit, exact = _critical(piece, unit, default_geom, solved, gamma_th, side)
+                want, want_exact = _critical_reference(piece, unit, default_geom, solved,
+                                                       gamma_th, side)
+                assert crit.tobytes() == want.tobytes(), (gamma_th, size)
+                assert (exact == want_exact).all(), (gamma_th, size)
+                checked += exact.any()
+    assert checked > 0
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_outage_block_allocates_no_slice_arrays(default_geom, default_cfg, solved, side):
+    # once a warm-up block has made the workspace and slice rows, a block's
+    # traced peak stays below three slice rows: the rows are not reallocated,
+    # and the dual-route check's two slice-length arrays are all it allocates
+    configs = [replace(default_cfg, gamma_bar_db=g) for g in (0.0, 10.0, 20.0, 30.0, 40.0)]
+    task = (_outage_block, (configs, default_geom, solved, 3.0, side, SLICE_DRAWS), 5, 0,
+            BLOCK_SIZE, True)
+    want = _run_block(task)
+    tracemalloc.start()
+    try:
+        got = _run_block(task)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 3 * SLICE_DRAWS * 8, peak
 
 
 def test_outage_ci_definition(default_geom, default_cfg, solved):
