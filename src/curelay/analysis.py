@@ -23,15 +23,16 @@ A block does not allocate its block-length arrays: each process (each
 thread of it) keeps one workspace of eight float64 rows (`_workspace`), and
 every block it runs, in a pool worker every task too, draws its gains into
 rows 0-5 (0-4 without w2); a rate block, which reads no w2, packs its three
-term arrays into rows 5-7. An outage slice allocates only the dual-route
-check's two arrays of its length: the same workspace holds seven
-slice-length float64 rows and three bool rows (`_slice_rows`), into which
-`_critical` and the per-point counting write every other temporary, through
-the `out=` rows of the helpers that hold each formula. A shorter last block or slice uses the leading elements of
-each row. The rows are scratch, not a cache: every user writes an element
-before it reads it, so its result is the same as with fresh arrays, and
-only the page faults of fresh memory (about 16 MB a rate block, thousands
-of faults an outage block) are saved.
+term arrays into rows 5-7. It also holds seven slice-length float64 rows and
+three bool rows (`_slice_rows`): `_bs_slice` writes a slice's BS terms there
+for both sweeps, through the `out=` rows of the helpers that hold each
+formula, and the outage counting and a rate slice's validity mask use the
+rest. An outage slice allocates only the dual-route check's two arrays of
+its length, a rate slice only `_harmonic`'s temporaries. A shorter last
+block or slice uses the leading elements of each row. The rows are scratch,
+not a cache: every user writes an element before it reads it, so its result
+is the same as with fresh arrays, and only the page faults of fresh memory
+(about 16 MB a rate block, thousands of faults an outage block) are saved.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
@@ -72,7 +73,7 @@ from .channels import (
     dist_t,
     sample_fading,
 )
-from .mathkernel import gauss_2f1, gauss_2f1_near_unit
+from .mathkernel import _require_pos, gauss_2f1, gauss_2f1_near_unit
 from .power import _interference, _power_terms, fixed_power, optimal_power
 from .relaying import _bs_terms, _harmonic, _su_terms, check_gamma2_routes, sir_sample
 
@@ -180,8 +181,9 @@ def _at_mean(draw, cfg):
 # pages, and those straddle the rows a block leaves untouched.
 _WORKSPACE_ROWS = 8
 # Slice rows: the float and bool rows _critical returns an outage slice's
-# crit and exact in, then scratch rows for the slice's temporaries: six float
-# (interference, head, tail, P_su1, gamma1, gamma2) and two bool (comparison
+# crit and exact in (a rate slice's validity mask goes into the bool one),
+# then scratch rows for the slice's temporaries: six float (_bs_slice's
+# interference, head, tail, P_su1, gamma1, gamma2) and two bool (comparison
 # masks), which the counting in _outage_block reuses once _critical returns.
 _SLICE_ROWS, _SLICE_MASKS = 7, 3
 _scratch = threading.local()
@@ -252,6 +254,22 @@ def _outage_point(draw, cfg, geom, lam, gamma_th, side):
     return n_out, n_counted
 
 
+def _bs_slice(draw, cfg, geom, lam, policy):
+    """This thread's slice rows for `draw` (at most one slice), its float
+    scratch rows holding interference, head, tail, P_su1, gamma1 and gamma2
+    under `policy`, "optimal" or "fixed" (head and tail left unwritten)."""
+    rows = _slice_rows(draw.h2.size)
+    cci, head, tail, p_su1, gamma1, gamma2 = rows[2]
+    _interference(draw, geom, cfg, out=(cci, head))
+    if policy == "optimal":
+        _power_terms(draw, geom, cfg, lam, cci, out=(head, tail))
+        optimal_power(draw, geom, cfg, lam, terms=(head, tail), out=p_su1)
+    else:
+        p_su1.fill(fixed_power(cfg, geom))
+    _bs_terms(draw, geom, p_su1, cci, out=(gamma1, gamma2))
+    return rows
+
+
 def _critical(draw, cfg, geom, lam, gamma_th, side):
     """(crit, exact) per draw of a unit-mean `draw`: the draw is in outage
     at mean gamma_bar iff gamma_bar < crit (inf: at every gamma_bar; nan:
@@ -260,11 +278,8 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
     thread's result rows (`_slice_rows`), valid until the next slice.
     `draw` is at most one slice (SLICE_DRAWS draws) long: the thread keeps
     its slice rows at the longest length it has been given."""
-    crit, exact, (cci, head, tail, p_su1, gamma1, gamma2), (m1, m2) = _slice_rows(draw.h2.size)
-    _interference(draw, geom, cfg, out=(cci, head))
-    _power_terms(draw, geom, cfg, lam, cci, out=(head, tail))
-    optimal_power(draw, geom, cfg, lam, terms=(head, tail), out=p_su1)
-    _bs_terms(draw, geom, p_su1, cci, out=(gamma1, gamma2))
+    crit, exact, (cci, head, tail, p_su1, gamma1, gamma2), (m1, m2) = _bs_slice(
+        draw, cfg, geom, lam, "optimal")
     check_gamma2_routes(draw, geom, cfg, lam, gamma2)
     band = _CRIT_BAND
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -426,9 +441,7 @@ def dist_su_upper(x, geom: ScenarioGeometry, cfg: PowerConfig):
         (b2 b3 / z^2) [(1/(x+e2) + 1/(x+e3))(1 + w) - (w/x)(4 + 2 b2 b3 ln(w) / z)],
     whose terms do not. No intermediate overflows at any finite x.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not (arr > 0).all():
-        raise ValueError("dist_su_upper requires x > 0")
+    arr = _require_pos(x, "dist_su_upper")
     et = derive_etas(geom)
     e2 = et.eta2 * cfg.gamma_bar_lin
     e3 = et.eta3 * cfg.gamma_bar_lin
@@ -472,8 +485,8 @@ def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
     finite. The terms of the counted draws are computed slice by slice and
     packed into block-length workspace rows, so each sum runs over the same
     array as on the whole block and the result does not depend on
-    `slice_draws`. Each slice computes its interference once, for P_su1's
-    threshold and for gamma2."""
+    `slice_draws`. A slice's BS terms go into this thread's slice rows
+    (`_bs_slice`), and its validity mask into their bool result row."""
     draw = _at_mean(draw, cfg)
     n = draw.h2.size
     obj, sq, e2e = _workspace(n)[5:]
@@ -481,17 +494,11 @@ def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
     for policy in policies:
         m = 0
         for piece in _slices(draw, slice_draws):
-            cci = _interference(piece, geom, cfg)
-            if policy == "optimal":
-                p_su1 = optimal_power(piece, geom, cfg, lam,
-                                      terms=_power_terms(piece, geom, cfg, lam, cci))
-            else:
-                p_su1 = fixed_power(cfg, geom)
-            gamma1, gamma2 = _bs_terms(piece, geom, p_su1, cci)
+            _, valid, (*_, gamma1, gamma2), _ = _bs_slice(piece, cfg, geom, lam, policy)
             gbs = _harmonic(gamma1, gamma2, gamma2)
             # gamma_bs1 is NaN or inf wherever gamma2 is, so this is every
             # draw where both are finite
-            valid = np.isfinite(gbs)
+            np.isfinite(gbs, out=valid)
             if not valid.all():
                 gamma2, gbs = gamma2[valid], gbs[valid]
             k = m + gamma2.size

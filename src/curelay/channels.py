@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathkernel import tricomi_psi11
+from .mathkernel import _require_pos, tricomi_psi11
 
 __all__ = [
     "ScenarioGeometry",
@@ -153,13 +153,6 @@ def _require_nonneg(x, op):
     arr = np.asarray(x, dtype=float)
     if arr.size and arr.min() < 0:
         raise ValueError(f"{op} requires x >= 0")
-    return arr
-
-
-def _require_pos(x, op):
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not (arr > 0).all():
-        raise ValueError(f"{op} requires x > 0")
     return arr
 
 

@@ -165,12 +165,18 @@ def _psi_cf(x):
     return out
 
 
+def _require_pos(x, op):
+    """x as a float array; ValueError naming `op` unless every element is > 0."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size and not (arr > 0).all():
+        raise ValueError(f"{op} requires x > 0")
+    return arr
+
+
 def _e1_family(x, name, psi):
     """E1(x), or Psi(1,1,x) = e^x E1(x) if `psi`: the E1 series below x = 1,
     the Psi continued fraction above, each scaled only where it must be."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not (arr > 0).all():
-        raise ValueError(f"{name} requires x > 0")
+    arr = _require_pos(x, name)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.empty_like(arr)
@@ -506,7 +512,9 @@ def solve_root_monotone(g, target, tol=ROOT_TOL, ceiling=None, first_step=1.0):
 
     Bracket by geometric doubling from 0, then bisect. Returns x* with
     |g(x*) - target| <= tol.rel_tol * max(1, |target|). Raises BracketError
-    if no bracket exists below `ceiling`.
+    if no bracket exists below `ceiling`, or if the bisection stalls, with
+    the residual of its last step. The bisection calls g at most once at
+    each x and returns the x of its last call.
     """
     resid_tol = tol.rel_tol * max(1.0, abs(target))
     g0 = g(0.0)
@@ -523,7 +531,6 @@ def solve_root_monotone(g, target, tol=ROOT_TOL, ceiling=None, first_step=1.0):
         hi *= 2.0
         ghi = g(hi)
     a, b = 0.0, hi
-    x = 0.5 * (a + b)
     for _ in range(tol.max_iter):
         x = 0.5 * (a + b)
         gx = g(x)
@@ -535,8 +542,5 @@ def solve_root_monotone(g, target, tol=ROOT_TOL, ceiling=None, first_step=1.0):
             b = x
         if b - a <= 1e-15 * max(1.0, abs(b)):
             break
-    gx = g(x)
-    if abs(gx - target) <= resid_tol:
-        return x
     raise BracketError(
         f"bisection stalled: x={x!r}, residual {gx - target!r} exceeds {resid_tol!r}")

@@ -109,7 +109,7 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
     """
     w_lin = cfg.w_lin
     resid_tol = ROOT_TOL.rel_tol * max(1.0, w_lin)
-    last = (None, None)  # the last (lam, quadrature); the root finder ends on its root
+    last = None  # the last quadrature: the root finder returns at its lam
     top = 0.0  # the largest lam integrated
     screen = True
     plan = set()  # the panels the last quadrature split
@@ -119,8 +119,6 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
 
     def g(lam):
         nonlocal last, top, screen
-        if lam == last[0]:
-            return last[1]
         c = None
         if screen and lam > 0.0:
             c = _closed_form_value(lam, geom, cfg, gamma_scaled=False)
@@ -129,12 +127,12 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
         value = constraint_lhs(lam, geom, cfg, plan=plan)
         if c is not None:
             screen = abs(value - c) <= tol(c)
-        last, top = (lam, value), max(top, lam)
+        last, top = value, max(top, lam)
         return value
 
     lam = solve_root_monotone(g, w_lin, ROOT_TOL, ceiling=CEILING_FACTOR * w_lin,
                               first_step=w_lin)
-    return WaterLevel(lam=lam, residual=g(lam) - w_lin)
+    return WaterLevel(lam=lam, residual=last - w_lin)
 
 
 @dataclass(frozen=True)
@@ -261,11 +259,8 @@ def optimal_power(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerCon
         p_su1 = np.maximum(np.subtract(head, tail, out=out), 0.0, out=out)
     f2, g2 = np.asarray(draw.f2), np.asarray(draw.g2)
     if not (f2.all() and g2.all()):
-        zero = (f2 == 0) | (g2 == 0)
-        if out is None:
-            p_su1 = np.where(zero, 0.0, p_su1)
-        else:
-            np.copyto(out, 0.0, where=zero)
+        p_su1 = np.asarray(p_su1)  # a scalar draw's power as a writable 0-d array
+        np.copyto(p_su1, 0.0, where=(f2 == 0) | (g2 == 0))
     return float(p_su1) if p_su1.ndim == 0 else p_su1
 
 

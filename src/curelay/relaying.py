@@ -12,7 +12,7 @@ flagged invalid and excluded by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -153,14 +153,12 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
     """Compute all SIR quantities for a batch of draws at a solved water level.
 
     gamma2 is checked against its reformulation (`check_gamma2_routes`).
+    Raises ValueError for a draw sampled without w2, which the SU side reads.
     """
-    h2 = np.atleast_1d(np.asarray(draw.h2, dtype=float))
-    g2 = np.atleast_1d(np.asarray(draw.g2, dtype=float))
-    f2 = np.atleast_1d(np.asarray(draw.f2, dtype=float))
-    u2 = np.atleast_1d(np.asarray(draw.u2, dtype=float))
-    v2 = np.atleast_1d(np.asarray(draw.v2, dtype=float))
-    w2 = np.atleast_1d(np.asarray(draw.w2, dtype=float))
-    batch = FadingRealization(h2, g2, f2, u2, v2, w2)
+    if draw.w2 is None:
+        raise ValueError("sir_sample needs w2: sample the draw with w2=True")
+    batch = FadingRealization(*(np.atleast_1d(np.asarray(getattr(draw, f.name), dtype=float))
+                                for f in fields(draw)))
 
     p_su1 = optimal_power(batch, geom, cfg, lam)
     gamma1, gamma2, gamma_bs1 = bs_sir(batch, geom, cfg, p_su1)

@@ -436,6 +436,23 @@ def test_outage_block_allocates_no_slice_arrays(default_geom, default_cfg, solve
     assert peak < 3 * SLICE_DRAWS * 8, peak
 
 
+def test_rate_block_allocates_no_bs_term_arrays(default_geom, default_cfg, solved):
+    # after a warm-up block, a rate block's BS terms and validity masks go
+    # into the slice rows: its traced peak stays below five slice rows, the
+    # most that _harmonic's temporaries take at once
+    task = (_rate_block, (default_cfg, default_geom, solved, ("optimal", "fixed"), SLICE_DRAWS),
+            5, 0, BLOCK_SIZE, False)
+    want = _run_block(task)
+    tracemalloc.start()
+    try:
+        got = _run_block(task)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 5 * SLICE_DRAWS * 8, peak
+
+
 def test_outage_ci_definition(default_geom, default_cfg, solved):
     est = outage_mc(default_geom, default_cfg, solved, 3.0, "su", [default_cfg.gamma_bar_db],
                     50_000, seed=9)[0]
@@ -777,3 +794,31 @@ def test_sweeps_in_two_threads_equal_one_at_a_time(default_geom, default_cfg, so
         t.join(timeout=120)
         assert not t.is_alive()
     assert got == [want, want]
+
+
+def _fresh_slice_rows(n):
+    crit, *rows = (np.full(n, np.nan) for _ in range(curelay.analysis._SLICE_ROWS))
+    exact, *masks = (np.ones(n, bool) for _ in range(curelay.analysis._SLICE_MASKS))
+    return crit, exact, rows, masks
+
+
+def test_rate_sweep_after_outage_sweep_equals_fresh_arrays(monkeypatch, default_geom,
+                                                           default_cfg, solved):
+    # an outage sweep leaves full-length slice rows behind, which the rate
+    # sweep's shorter slices then take; the reference gives every block and
+    # slice fresh rows
+    configs = [replace(default_cfg, gamma_bar_db=g) for g in (0.0, 20.0, 40.0)]
+    kw = dict(trials=50_000, seed=41, workers=1, block_size=20_000)
+
+    def rate():
+        return _sweep(_rate_block, [(c, default_geom, solved, ("optimal", "fixed"), 7_000)
+                                    for c in configs[:2]], w2=False, **kw)
+
+    monkeypatch.setattr(curelay.analysis, "_workspace", _fresh_workspace)
+    monkeypatch.setattr(curelay.analysis, "_slice_rows", _fresh_slice_rows)
+    want = rate()
+    monkeypatch.undo()
+    for side in ("bs", "su"):
+        _sweep(_outage_block, [(configs, default_geom, solved, 3.0, side, SLICE_DRAWS)], **kw)
+        assert curelay.analysis._scratch.slice_rows[0].size >= SLICE_DRAWS
+        assert rate() == want, side

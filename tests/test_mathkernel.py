@@ -482,3 +482,28 @@ def test_root_sampled_expectation():
     tol = NumericTolerance(rel_tol=1e-9, max_iter=200)
     x = solve_root_monotone(g, 2.0, tol)
     assert abs(g(x) - 2.0) <= 1e-9 * 2.0
+
+
+@pytest.mark.parametrize("jump", [False, True])
+def test_root_bisection_calls_g_at_most_once_at_each_x(jump):
+    # a bracket at the first step; with a jump across the target the
+    # bisection stalls, and the error carries its last step's x and residual
+    calls = []
+
+    def step(x):
+        return (10.0 if x >= math.pi else 0.0) if jump else x
+
+    def g(x):
+        calls.append(x)
+        return step(x)
+
+    if jump:
+        with pytest.raises(BracketError, match="bisection stalled") as err:
+            solve_root_monotone(g, math.pi, first_step=8.0)
+        x = calls[-1]
+        assert f"x={x!r}, residual {step(x) - math.pi!r} exceeds" in str(err.value)
+    else:
+        assert solve_root_monotone(g, math.pi, first_step=8.0) == calls[-1]
+        assert calls[-1] == pytest.approx(math.pi, abs=1e-9)
+    assert calls[:3] == [0.0, 8.0, 4.0]
+    assert len(set(calls)) == len(calls) > 30

@@ -151,6 +151,26 @@ def test_optimal_power_degenerate_draws(default_geom, default_cfg):
     assert (p == 0.0).all()
 
 
+@pytest.mark.parametrize("zero", [("f2",), ("g2",), ("f2", "g2")])
+def test_optimal_power_zero_gain_rule_with_and_without_out(default_geom, default_cfg, zero):
+    # one rule for zero-gain draws: the same bits with or without `out`, for
+    # a scalar draw and for an array draw whose other elements transmit
+    gains = dict(h2=1.0, g2=1.0, f2=1e-3, u2=1.0, v2=1.0, w2=1.0)
+    scalar = FadingRealization(**{**gains, **dict.fromkeys(zero, 0.0)})
+    arrays = {k: np.full(4, v) for k, v in gains.items()}
+    for name in zero:
+        arrays[name][[0, 2]] = 0.0
+    for draw in (scalar, FadingRealization(**arrays)):
+        fresh = optimal_power(draw, default_geom, default_cfg, 5.0)
+        out = np.full(np.shape(draw.f2), np.nan)
+        into = optimal_power(draw, default_geom, default_cfg, 5.0, out=out)
+        assert np.asarray(into).tobytes() == np.asarray(fresh).tobytes()
+        if np.ndim(draw.f2):
+            assert into is out and (fresh[[0, 2]] == 0.0).all() and (fresh[[1, 3]] > 0).all()
+        else:
+            assert type(fresh) is type(into) is float and fresh == 0.0
+
+
 def test_optimal_power_monotonicity(default_geom, default_cfg):
     rng = np.random.default_rng(4)
     d = sample_fading(rng, default_cfg, 20_000)

@@ -271,3 +271,9 @@ def test_oracle_guards(default_geom, default_cfg):
     d = make_draw()
     with pytest.raises(ValueError):
         symbol_level_oracle(d, default_geom, default_cfg, 1.0, n_symbols=100)
+
+
+def test_sir_sample_rejects_a_draw_without_w2(default_geom, default_cfg):
+    draw = sample_fading(np.random.default_rng(5), default_cfg, 5, w2=False)
+    with pytest.raises(ValueError, match="w2"):
+        sir_sample(draw, default_geom, default_cfg, 5.0)
