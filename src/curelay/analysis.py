@@ -382,6 +382,8 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
     if trials < OUTAGE_MIN_TRIALS:
         raise ValueError(f"trials must be >= {OUTAGE_MIN_TRIALS}")
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
+    if not configs:
+        return []
     (row,) = _sweep(_outage_block, [(configs, geom, lam, gamma_th, side, SLICE_DRAWS)],
                     trials, seed, workers, block_size)
     out = []

@@ -149,20 +149,13 @@ def sample_fading(rng: np.random.Generator, cfg: PowerConfig, size=None,
     return FadingRealization(*gains, *([] if w2 else [None]))
 
 
-def _require_nonneg(x, op):
-    arr = np.asarray(x, dtype=float)
-    if arr.size and arr.min() < 0:
-        raise ValueError(f"{op} requires x >= 0")
-    return arr
-
-
 def dist_v3(x, geom: ScenarioGeometry):
     """pdf/cdf of V3 = q^-eps u2 + r^-eps v2.
 
     General branch for q != r; for q == r the analytic r->q limit
     x q^{2 eps} e^{-q^eps x} (a Gamma(2) law) is used.
     """
-    arr = _require_nonneg(x, "dist_v3")
+    arr = _require_pos(x, "dist_v3", zero_ok=True)
     et = derive_etas(geom)
     if et.c1 is None:
         a = et.q_eps
@@ -211,7 +204,7 @@ def dist_gamma_ratio(x, eta, gamma_bar_lin):
         raise ValueError(f"eta must be > 0, got {eta}")
     if not gamma_bar_lin > 0:
         raise ValueError(f"gamma_bar_lin must be > 0, got {gamma_bar_lin}")
-    arr = _require_nonneg(x, "dist_gamma_ratio")
+    arr = _require_pos(x, "dist_gamma_ratio", zero_ok=True)
     s = eta * gamma_bar_lin
     pdf = s / (arr + s) ** 2
     cdf = arr / (arr + s)

@@ -165,11 +165,12 @@ def _psi_cf(x):
     return out
 
 
-def _require_pos(x, op):
-    """x as a float array; ValueError naming `op` unless every element is > 0."""
+def _require_pos(x, op, zero_ok=False):
+    """x as a float array; ValueError naming `op` unless every element is
+    > 0, or >= 0 with `zero_ok`. NaN fails either test."""
     arr = np.asarray(x, dtype=float)
-    if arr.size and not (arr > 0).all():
-        raise ValueError(f"{op} requires x > 0")
+    if not (arr >= 0 if zero_ok else arr > 0).all():
+        raise ValueError(f"{op} requires x {'>=' if zero_ok else '>'} 0")
     return arr
 
 
@@ -513,8 +514,10 @@ def solve_root_monotone(g, target, tol=ROOT_TOL, ceiling=None, first_step=1.0):
     Bracket by geometric doubling from 0, then bisect. Returns x* with
     |g(x*) - target| <= tol.rel_tol * max(1, |target|). Raises BracketError
     if no bracket exists below `ceiling`, or if the bisection stalls, with
-    the residual of its last step. The bisection calls g at most once at
-    each x and returns the x of its last call.
+    the residual of its last step. The search calls g at most once at each
+    x: once the bracket has doubled, the bisection's first midpoint is the
+    last bracketing step, whose value it takes. So the returned x* is one g
+    was called at, not necessarily the last.
     """
     resid_tol = tol.rel_tol * max(1.0, abs(target))
     g0 = g(0.0)
@@ -522,18 +525,20 @@ def solve_root_monotone(g, target, tol=ROOT_TOL, ceiling=None, first_step=1.0):
         raise BracketError(f"g(0)={g0!r} already exceeds target={target!r}")
     if abs(g0 - target) <= resid_tol:
         return 0.0
+    lo, glo = 0.0, g0  # the last bracketing step below the target
     hi = abs(first_step) if first_step else 1.0
     ghi = g(hi)
     while ghi < target:
         if ceiling is not None and hi >= ceiling:
             raise BracketError(
                 f"no bracket below ceiling {ceiling!r}: g({hi!r})={ghi!r} < target {target!r}")
+        lo, glo = hi, ghi
         hi *= 2.0
         ghi = g(hi)
     a, b = 0.0, hi
     for _ in range(tol.max_iter):
         x = 0.5 * (a + b)
-        gx = g(x)
+        gx = glo if x == lo else g(x)
         if abs(gx - target) <= resid_tol:
             return x
         if gx < target:

@@ -109,7 +109,7 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
     """
     w_lin = cfg.w_lin
     resid_tol = ROOT_TOL.rel_tol * max(1.0, w_lin)
-    last = None  # the last quadrature: the root finder returns at its lam
+    integrated = {}  # lam -> its quadrature; the root finder returns at one of them
     top = 0.0  # the largest lam integrated
     screen = True
     plan = set()  # the panels the last quadrature split
@@ -118,7 +118,7 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
         return QUAD_TOL.rel_tol * abs(value) + resid_tol
 
     def g(lam):
-        nonlocal last, top, screen
+        nonlocal top, screen
         c = None
         if screen and lam > 0.0:
             c = _closed_form_value(lam, geom, cfg, gamma_scaled=False)
@@ -127,12 +127,12 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
         value = constraint_lhs(lam, geom, cfg, plan=plan)
         if c is not None:
             screen = abs(value - c) <= tol(c)
-        last, top = value, max(top, lam)
+        integrated[lam], top = value, max(top, lam)
         return value
 
     lam = solve_root_monotone(g, w_lin, ROOT_TOL, ceiling=CEILING_FACTOR * w_lin,
                               first_step=w_lin)
-    return WaterLevel(lam=lam, residual=last - w_lin)
+    return WaterLevel(lam=lam, residual=integrated[lam] - w_lin)
 
 
 @dataclass(frozen=True)

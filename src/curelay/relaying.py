@@ -17,12 +17,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channels import FadingRealization, PowerConfig, ScenarioGeometry, derive_etas
-from .power import _interference, optimal_power
+from .power import _interference, _power_terms, optimal_power
 
 __all__ = [
     "SirSample",
     "relay_gain",
-    "bs_sir",
     "check_gamma2_routes",
     "sir_sample",
     "sinr_bs_combine",
@@ -94,14 +93,6 @@ def _bs_terms(draw: FadingRealization, geom: ScenarioGeometry, p_su1, cci, out=(
     return gamma1, gamma2
 
 
-def bs_sir(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1):
-    """(gamma1, gamma2, gamma_bs1) for a batch of draws at SU power p_su1
-    (array or scalar); gamma_bs1 = gamma1 gamma2/(gamma1 + gamma2), taken to
-    its limit where a component is infinite or gamma2 == 0."""
-    gamma1, gamma2 = _bs_terms(draw, geom, p_su1, _interference(draw, geom, cfg))
-    return gamma1, gamma2, _harmonic(gamma1, gamma2, gamma2)
-
-
 def _su_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1,
               out=(None, None, None)):
     """(gamma3, gamma4, gamma5 - gamma4) at SU power p_su1, where
@@ -160,8 +151,10 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
     batch = FadingRealization(*(np.atleast_1d(np.asarray(getattr(draw, f.name), dtype=float))
                                 for f in fields(draw)))
 
-    p_su1 = optimal_power(batch, geom, cfg, lam)
-    gamma1, gamma2, gamma_bs1 = bs_sir(batch, geom, cfg, p_su1)
+    cci = _interference(batch, geom, cfg)
+    p_su1 = optimal_power(batch, geom, cfg, lam, terms=_power_terms(batch, geom, cfg, lam, cci))
+    gamma1, gamma2 = _bs_terms(batch, geom, p_su1, cci)
+    gamma_bs1 = _harmonic(gamma1, gamma2, gamma2)
     gamma3, gamma4, added = _su_terms(batch, geom, cfg, p_su1)
     # gamma5 = (P s^-eps h2 + P_su1 l^-eps g2)/(P r^-eps v2), grouped so
     # that gamma5 == gamma4 bitwise whenever p_su1 == 0

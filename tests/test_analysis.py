@@ -32,8 +32,8 @@ from curelay.analysis import (BLOCK_SIZE, _UNIT_MEAN, SLICE_DRAWS, _at_mean, _cr
                               _slices, _sweep)
 from curelay.channels import dist_gamma_ratio, dist_t
 from curelay.mathkernel import NumericTolerance, integrate
-from curelay.power import _power_terms, fixed_power, optimal_power
-from curelay.relaying import bs_sir, check_gamma2_routes
+from curelay.power import _interference, _power_terms, fixed_power, optimal_power
+from curelay.relaying import _bs_terms, _harmonic, check_gamma2_routes
 
 TIGHT = NumericTolerance(rel_tol=1e-11, abs_tol=1e-300, max_iter=4000)
 
@@ -53,6 +53,16 @@ def test_outage_zero_threshold(default_geom, default_cfg, solved):
                     10_000, seed=1)[0]
     assert est.p_out == 0.0
     assert est.lower_bound == 0.0 and est.upper_bound == 0.0
+
+
+def test_outage_empty_grid_samples_nothing(default_geom, default_cfg, solved, monkeypatch):
+    calls = []
+    real = curelay.analysis.sample_fading
+    monkeypatch.setattr(curelay.analysis, "sample_fading",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    for side in ("bs", "su"):
+        assert outage_mc(default_geom, default_cfg, solved, 3.0, side, [], 10_000, seed=1) == []
+    assert calls == []
 
 
 def test_outage_huge_threshold(default_geom, default_cfg, solved):
@@ -173,7 +183,8 @@ def test_dual_route_check_decides_as_the_masked_check(default_geom, default_cfg,
     # gamma2 > 1 so that a 1e-8 relative change is a 1e-8 gap
     unit = replace(default_cfg, gamma_bar_db=0.0)
     draw = sample_fading(np.random.default_rng(41), _UNIT_MEAN, SLICE_DRAWS)
-    gamma2 = bs_sir(draw, default_geom, unit, optimal_power(draw, default_geom, unit, solved))[1]
+    gamma2 = _bs_terms(draw, default_geom, optimal_power(draw, default_geom, unit, solved),
+                       _interference(draw, default_geom, unit))[1]
     big = np.flatnonzero(gamma2 > 1.0)
     spots = [int(big[0]), int(big[big.size // 2]), int(big[-1])]
     # a zero f2 and u2 = v2 = 0 make the reformulation inf, f2 = g2 = 0 NaN
@@ -399,7 +410,8 @@ def test_critical_equals_reference_bit_for_bit(default_geom, default_cfg, solved
     # rows an earlier, longer one has left its values in
     unit = replace(default_cfg, gamma_bar_db=0.0)
     draw = _adversarial_draw(default_geom, unit, solved, SLICE_DRAWS + 300)
-    gamma2 = bs_sir(draw, default_geom, unit, optimal_power(draw, default_geom, unit, solved))[1]
+    gamma2 = _bs_terms(draw, default_geom, optimal_power(draw, default_geom, unit, solved),
+                       _interference(draw, default_geom, unit))[1]
     on_gamma2 = float(gamma2[np.flatnonzero(gamma2 > 0)[5]])  # a draw with gamma2 == gamma_th
     checked = 0
     for gamma_th in (0.0, 0.5, 3.0, on_gamma2, 1e300, 1.7e308):
@@ -723,7 +735,8 @@ def _rate_reference(draw, cfg, geom, lam, policies):
     for policy in policies:
         p_su1 = (optimal_power(draw, geom, cfg, lam) if policy == "optimal"
                  else fixed_power(cfg, geom))
-        _, gamma2, gbs = bs_sir(draw, geom, cfg, p_su1)
+        gamma1, gamma2 = _bs_terms(draw, geom, p_su1, _interference(draw, geom, cfg))
+        gbs = _harmonic(gamma1, gamma2, gamma2)
         valid = np.isfinite(gamma2) & np.isfinite(gbs)
         obj = np.log1p(gamma2[valid]) / math.log(2.0)
         e2e = 0.5 * np.log1p(gbs[valid]) / math.log(2.0)

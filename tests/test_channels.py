@@ -160,6 +160,17 @@ def test_v1_domain():
         dist_gamma_ratio(-0.1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("x", [-0.1, np.array([2.0, -1e-300]), math.nan,
+                               np.array([-1.0, np.nan])], ids=["neg", "neg-elem", "nan", "neg-nan"])
+@pytest.mark.parametrize("law", ["dist_v3", "dist_gamma_ratio"])
+def test_nonnegative_laws_reject_negatives_and_nan(default_geom, law, x):
+    evaluate = {"dist_v3": lambda x: dist_v3(x, default_geom),
+                "dist_gamma_ratio": lambda x: dist_gamma_ratio(x, 1.0, 1.0)}[law]
+    with pytest.raises(ValueError, match=f"^{law} requires x >= 0$"):
+        evaluate(x)
+    assert evaluate(np.array([0.0, 1.0]))[0][0] >= 0.0
+
+
 def test_v1_mc_ks(default_cfg):
     rng = np.random.default_rng(5)
     d = sample_fading(rng, default_cfg, 10**6)

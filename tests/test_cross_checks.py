@@ -2,13 +2,17 @@
 oracles themselves. The primary oracles (quadrature, series, brute force)
 live in the other test modules; scipy only appears here."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 scipy_special = pytest.importorskip("scipy.special")
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
-from curelay import dist_t, dist_su_upper, exp_e1, gauss_2f1, tricomi_psi11
+from curelay import (derive_etas, dist_su_upper, dist_t, exp_e1, gauss_2f1, load_config,
+                     rate_curve, solve_water_level, tricomi_psi11)
 from curelay.mathkernel import NumericTolerance, integrate
 
 
@@ -61,3 +65,44 @@ def test_su_upper_cdf_vs_scipy_hyp2f1(default_geom, default_cfg, default_etas):
         * scipy_special.hyp2f1(2.0, 2.0, 3.0, z)
     _, cdf = dist_su_upper(xs, default_geom, default_cfg)
     assert np.abs(cdf - ref).max() < 1e-9
+
+
+def _exact_objective_rates(geom, power, lam):
+    """E[log2(1 + gamma2)] under the optimal and the fixed policy, by scipy
+    quadrature from the fading laws alone; gamma2 is free of gamma_bar
+    under both. Optimal: gamma2 = max(0, c2/T - 1), c2 = lam/(eta4 P), so the
+    rate is (1/ln 2) int_0^c2 F_T(t)/t dt with F_T(x) = E[x/(x + V3)] over
+    V3's two-exponential density. Fixed: gamma2 = a X/V3, a = W/(eta4 P),
+    X ~ Exp(1), so E[ln(1 + gamma2)] = int_0^inf P(gamma2 > y)/(1 + y) dy
+    = int_0^inf dy/((1 + y)(1 + y q^-eps/a)(1 + y r^-eps/a))."""
+    e = geom.epsilon
+    qe, re_ = geom.q ** -e, geom.r ** -e
+    b = derive_etas(geom).eta4 * power.p_cci_lin
+    kw = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+
+    def v3_pdf(v):
+        return (math.exp(-v / qe) - math.exp(-v / re_)) / (qe - re_)
+
+    def cdf_t(x):
+        return scipy_integrate.quad(lambda v: x / (x + v) * v3_pdf(v), 0.0, math.inf, **kw)[0]
+
+    c2, a = lam / b, power.w_lin / b
+    optimal = scipy_integrate.quad(lambda t: cdf_t(t) / t, 0.0, c2, **kw)[0]
+    fixed = scipy_integrate.quad(lambda y: 1.0 / ((1.0 + y) * (1.0 + y * qe / a)
+                                                  * (1.0 + y * re_ / a)), 0.0, math.inf, **kw)[0]
+    return {"optimal": optimal / math.log(2.0), "fixed": fixed / math.log(2.0)}
+
+
+def test_rate_objective_within_3_ci_of_exact():
+    # configs/default.cfg at its own seed and trials: every grid point of
+    # both policies
+    c = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
+    lam = solve_water_level(c.geometry, c.power).lam
+    exact = _exact_objective_rates(c.geometry, c.power, lam)
+    assert exact["optimal"] == pytest.approx(2.004534042444441, rel=1e-10)
+    assert exact["fixed"] == pytest.approx(1.1789532931558493, rel=1e-10)
+    ests = rate_curve(c.geometry, c.power, lam, ("optimal", "fixed"), c.sir_grid_db,
+                      c.trials, c.seed)
+    assert len(ests) == 2 * len(c.sir_grid_db)
+    for est in ests:
+        assert abs(est.rate_objective - exact[est.policy]) <= 3.0 * est.ci_halfwidth

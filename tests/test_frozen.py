@@ -192,13 +192,14 @@ def test_closed_form_screen_headroom(solved):
 def test_screen_stays_off_where_the_closed_form_cancels(cfg, monkeypatch):
     # PU4 a relative 1e-8 from equidistant: the q != r closed form cancels and
     # misses the quadrature by more than the screen's margin at this point, so
-    # the solve integrates every step, as the plain bisection did
+    # the solve integrates every step, each once: the bisection's first
+    # midpoint is the last bracketing step, whose quadrature it reuses
     geom = replace(cfg.geometry, q=0.8, r=0.8 * (1.0 + 1e-8))
     results = _recording_integrate(monkeypatch)
     level = solve_water_level(geom, _power(cfg, (-10.0, 40.0)))
     assert (level.lam.hex(), level.residual.hex()) == (
         "0x1.25a1887333333p+2", "-0x1.a8e8800000000p-38")
-    assert len(results) == 36
+    assert len(results) == 35
 
 
 @pytest.mark.parametrize("n", sorted(PSI_DIGESTS))

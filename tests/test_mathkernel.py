@@ -507,3 +507,22 @@ def test_root_bisection_calls_g_at_most_once_at_each_x(jump):
         assert calls[-1] == pytest.approx(math.pi, abs=1e-9)
     assert calls[:3] == [0.0, 8.0, 4.0]
     assert len(set(calls)) == len(calls) > 30
+
+
+@pytest.mark.parametrize("target", [math.pi, 4.0 + 1e-12])
+def test_root_search_calls_g_at_most_once_at_each_x_after_the_bracket_doubles(target):
+    # the bracket doubles from 0.25, and the bisection's first midpoint is
+    # its last step below the target: 2 for pi, 4 for 4 + 1e-12, where that
+    # step already meets the stop test
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x
+
+    x = solve_root_monotone(g, target, first_step=0.25)
+    assert calls[:6] == [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
+    assert len(set(calls)) == len(calls)
+    assert abs(x - target) <= 1e-10 * target
+    if target > 4.0:
+        assert (x, calls[6:]) == (4.0, [8.0])

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import curelay.power
 from curelay import (
     FadingRealization,
     PowerConfig,
@@ -59,6 +60,19 @@ def test_water_level_residual_reported(default_geom, default_cfg):
     assert abs(level.residual) <= 1e-10 * max(1.0, default_cfg.w_lin)
     assert constraint_lhs(level.lam, default_geom, default_cfg) == pytest.approx(
         default_cfg.w_lin, rel=1e-9)
+
+
+def test_solve_residual_is_the_quadrature_at_the_returned_lam(default_geom, default_cfg,
+                                                               monkeypatch):
+    # a constraint that comes within the stop test of W at the bracketing
+    # step 4W: the root finder returns 4W after it has integrated 8W, and the
+    # residual is 4W's, not the last quadrature's
+    w = default_cfg.w_lin
+    monkeypatch.setattr(curelay.power, "constraint_lhs",
+                        lambda lam, geom, cfg, plan=None: lam * (1.0 - 1e-12) / 4.0)
+    level = solve_water_level(default_geom, default_cfg)
+    assert level.lam == 4.0 * w
+    assert level.residual == 4.0 * w * (1.0 - 1e-12) / 4.0 - w
 
 
 @pytest.fixture(scope="module")
