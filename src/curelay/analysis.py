@@ -14,25 +14,26 @@ point's draws. Every block function slices its own block into `SLICE_DRAWS`
 draws, which keeps the elementwise working set in cache: an outage block
 adds the slices' integer counts, while a rate block packs the per-draw terms
 of each slice's counted draws into block-length rows and forms its
-floating-point sums over the whole block, so the slice length never moves a
-bit. Each call runs all its blocks through one process pool and sums each
-group's rows in block order, so results are bit-identical for any worker
-count.
+floating-point sums over the whole packed rows, so the slice length never
+moves a bit. Each call runs all its blocks through one process pool and sums
+each group's rows in block order, so results are bit-identical for any
+worker count.
 
 A block does not allocate its block-length arrays: each process (each
-thread of it) keeps one workspace of eight float64 rows (`_workspace`), and
+thread of it) keeps one workspace of six float64 rows (`_workspace`), and
 every block it runs, in a pool worker every task too, draws its gains into
-rows 0-5 (0-4 without w2); a rate block, which reads no w2, packs its three
-term arrays into rows 5-7. It also holds seven slice-length float64 rows and
-three bool rows (`_slice_rows`): `_bs_slice` writes a slice's BS terms there
-for both sweeps, through the `out=` rows of the helpers that hold each
-formula, and the outage counting and a rate slice's validity mask use the
-rest. An outage slice allocates only the dual-route check's two arrays of
-its length, a rate slice only `_harmonic`'s temporaries. A shorter last
-block or slice uses the leading elements of each row. The rows are scratch,
-not a cache: every user writes an element before it reads it, so its result
-is the same as with fresh arrays, and only the page faults of fresh memory
-(about 16 MB a rate block, thousands of faults an outage block) are saved.
+them (rows 0-4 without w2). A rate block packs its terms into the gain rows
+it has already read, so it touches only rows 0-4. Each process also holds
+eight slice-length float64 rows and three bool rows (`_slice_rows`):
+`_bs_slice` writes a slice's BS terms there for both sweeps, through the
+`out=` rows of the helpers that hold each formula, and the outage counting,
+a rate slice's gamma_bs1 and its validity mask use the rest. An outage
+slice allocates only the dual-route check's two arrays of its length, a
+rate slice nothing of its length. A shorter last block or slice uses the
+leading elements of each row. The rows are scratch, not a cache: every user
+writes an element before it reads it, so its result is the same as with
+fresh arrays, and only the page faults of fresh memory (about 10 MB a rate
+block, thousands of faults an outage block) are saved.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
@@ -75,7 +76,7 @@ from .channels import (
 )
 from .mathkernel import _require_pos, gauss_2f1, gauss_2f1_near_unit
 from .power import _interference, _power_terms, fixed_power, optimal_power
-from .relaying import _bs_terms, _harmonic, _su_terms, check_gamma2_routes, sir_sample
+from .relaying import _gamma1, _gamma2, _harmonic, _su_terms, check_gamma2_routes, sir_sample
 
 __all__ = [
     "OutageEstimate",
@@ -95,9 +96,10 @@ RATE_MIN_TRIALS = 100_000
 # on it. An outage slice's temporaries live in workspace rows, so the
 # length no longer decides how often freed memory faults back in. Medians of
 # 24 alternated 250k-draw blocks in one process (2-vCPU x86-64 host, numpy
-# 2.4): BS outage 23.3 / 22.8 / 24.0 ms, SU outage 24.0 / 22.4 / 24.0 ms and
-# rate 23.8 / 23.8 / 25.8 ms at 8,192 / 16,384 / 32,768 draws; 16,384 is
-# the fastest or level with it on each.
+# 2.4): BS outage 16.3 / 13.4 / 15.1 ms, SU outage 15.9 / 14.2 / 14.7 ms and
+# rate (both policies) 13.3 / 12.1 / 11.0 ms at 8,192 / 16,384 / 32,768
+# draws; 16,384 is the fastest on both outage sides, while rate is fastest
+# at 32,768.
 SLICE_DRAWS = 16_384
 # Relative half-width of the band around a draw's critical gamma_bar inside
 # which an outage point takes the exact per-point path; the same width
@@ -179,13 +181,14 @@ def _at_mean(draw, cfg):
 # as large as one of the arrays they replace, keep a block's resident memory
 # what it was with fresh arrays: for one 2-D array numpy asks for huge
 # pages, and those straddle the rows a block leaves untouched.
-_WORKSPACE_ROWS = 8
+_WORKSPACE_ROWS = 6
 # Slice rows: the float and bool rows _critical returns an outage slice's
 # crit and exact in (a rate slice's validity mask goes into the bool one),
-# then scratch rows for the slice's temporaries: six float (_bs_slice's
-# interference, head, tail, P_su1, gamma1, gamma2) and two bool (comparison
-# masks), which the counting in _outage_block reuses once _critical returns.
-_SLICE_ROWS, _SLICE_MASKS = 7, 3
+# then scratch rows for the slice's temporaries: seven float (_bs_slice's
+# interference, head, tail, P_su1, gamma1 and one gamma2 per policy) and two
+# bool (comparison masks), which the counting in _outage_block and a rate
+# slice's gamma_bs1 reuse once the slice's gamma2 rows are formed.
+_SLICE_ROWS, _SLICE_MASKS = 8, 3
 _scratch = threading.local()
 
 
@@ -254,19 +257,23 @@ def _outage_point(draw, cfg, geom, lam, gamma_th, side):
     return n_out, n_counted
 
 
-def _bs_slice(draw, cfg, geom, lam, policy):
+def _bs_slice(draw, cfg, geom, lam, policies):
     """This thread's slice rows for `draw` (at most one slice), its float
-    scratch rows holding interference, head, tail, P_su1, gamma1 and gamma2
-    under `policy`, "optimal" or "fixed" (head and tail left unwritten)."""
+    scratch rows holding interference, head, tail, P_su1, gamma1 and then
+    gamma2 under each policy of `policies` ("optimal", "fixed"; at most two),
+    in order. Head, tail and P_su1 are the optimal policy's, unwritten
+    without it: the fixed power is one number for every draw."""
     rows = _slice_rows(draw.h2.size)
-    cci, head, tail, p_su1, gamma1, gamma2 = rows[2]
+    cci, head, tail, p_su1, gamma1, *gamma2s = rows[2]
     _interference(draw, geom, cfg, out=(cci, head))
-    if policy == "optimal":
-        _power_terms(draw, geom, cfg, lam, cci, out=(head, tail))
-        optimal_power(draw, geom, cfg, lam, terms=(head, tail), out=p_su1)
-    else:
-        p_su1.fill(fixed_power(cfg, geom))
-    _bs_terms(draw, geom, p_su1, cci, out=(gamma1, gamma2))
+    _gamma1(draw, geom, out=gamma1)
+    for policy, gamma2 in zip(policies, gamma2s):
+        if policy == "optimal":
+            _power_terms(draw, geom, cfg, lam, cci, out=(head, tail))
+            power = optimal_power(draw, geom, cfg, lam, terms=(head, tail), out=p_su1)
+        else:
+            power = fixed_power(cfg, geom)
+        _gamma2(draw, geom, power, cci, out=gamma2)
     return rows
 
 
@@ -278,8 +285,8 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
     thread's result rows (`_slice_rows`), valid until the next slice.
     `draw` is at most one slice (SLICE_DRAWS draws) long: the thread keeps
     its slice rows at the longest length it has been given."""
-    crit, exact, (cci, head, tail, p_su1, gamma1, gamma2), (m1, m2) = _bs_slice(
-        draw, cfg, geom, lam, "optimal")
+    crit, exact, (cci, head, tail, p_su1, gamma1, gamma2, _), (m1, m2) = _bs_slice(
+        draw, cfg, geom, lam, ("optimal",))
     check_gamma2_routes(draw, geom, cfg, lam, gamma2)
     band = _CRIT_BAND
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -402,12 +409,13 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
 
 def _gamma2_cdf(x, geom, lam, p_cci):
     """CDF of gamma2 given transmission: 1 - F_T(c2/(x+1))/F_T(c2), c2 = lam/(eta4 P),
-    with F_T from one `dist_t` call for c2 and every x."""
+    with F_T from one `dist_t` call for c2 and every x, and F_T(0) = 0."""
     et = derive_etas(geom)
     c2 = lam / (et.eta4 * p_cci)
     x = np.asarray(x, dtype=float)
-    _, ft = dist_t(np.append(c2, c2 / (x.ravel() + 1.0)), geom)
-    return (1.0 - ft[1:] / ft[0]).reshape(x.shape)
+    y = c2 / (x.ravel() + 1.0)
+    _, ft = dist_t(np.append(c2, np.where(y > 0.0, y, c2)), geom)
+    return (1.0 - np.where(y > 0.0, ft[1:], 0.0) / ft[0]).reshape(x.shape)
 
 
 def outage_bs_bounds(gamma_th: float, geom: ScenarioGeometry, cfg: PowerConfig,
@@ -484,32 +492,35 @@ def su_outage_closed_form(gamma_th: float, geom: ScenarioGeometry, cfg: PowerCon
 def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
     """Per policy: the sum and the sum of squares of log2(1 + gamma2), the
     sum of 0.5 log2(1 + gamma_bs1), and the count of draws where both are
-    finite. The terms of the counted draws are computed slice by slice and
-    packed into block-length workspace rows, so each sum runs over the same
-    array as on the whole block and the result does not depend on
-    `slice_draws`. A slice's BS terms go into this thread's slice rows
-    (`_bs_slice`), and its validity mask into their bool result row."""
+    finite. It overwrites `draw`. Each slice's BS terms are formed for
+    every policy (`_bs_slice`), and then policy j packs its two terms of the
+    counted draws at [m_j, m_j + counted) of h2 and u2 (v2 and f2 for j = 1),
+    where m_j never exceeds the slice's start: into gains already read. Each
+    sum runs over the same array as on the whole block, so the result does
+    not depend on `slice_draws`."""
     draw = _at_mean(draw, cfg)
-    n = draw.h2.size
-    obj, sq, e2e = _workspace(n)[5:]
-    sums = []
-    for policy in policies:
-        m = 0
-        for piece in _slices(draw, slice_draws):
-            _, valid, (*_, gamma1, gamma2), _ = _bs_slice(piece, cfg, geom, lam, policy)
-            gbs = _harmonic(gamma1, gamma2, gamma2)
+    packed = ((draw.h2, draw.u2), (draw.v2, draw.f2))[:len(policies)]
+    counts = [0] * len(policies)
+    for piece in _slices(draw, slice_draws):
+        _, valid, (_, head, _, p_su1, gamma1, *gamma2s), _ = _bs_slice(piece, cfg, geom, lam,
+                                                                       policies)
+        for j, (gamma2, (obj, e2e)) in enumerate(zip(gamma2s, packed)):
+            gbs = _harmonic(gamma1, gamma2, gamma2, out=(p_su1, head))
             # gamma_bs1 is NaN or inf wherever gamma2 is, so this is every
             # draw where both are finite
             np.isfinite(gbs, out=valid)
             if not valid.all():
                 gamma2, gbs = gamma2[valid], gbs[valid]
-            k = m + gamma2.size
+            m, k = counts[j], counts[j] + gamma2.size
             t_obj, t_e2e = obj[m:k], e2e[m:k]
             np.divide(np.log1p(gamma2, out=t_obj), _LN2, out=t_obj)
-            np.square(t_obj, out=sq[m:k])
             np.divide(np.multiply(np.log1p(gbs, out=t_e2e), 0.5, out=t_e2e), _LN2, out=t_e2e)
-            m = k
-        sums += (float(obj[:m].sum()), float(sq[:m].sum()), float(e2e[:m].sum()), m)
+            counts[j] = k
+    sums = []
+    for (obj, e2e), m in zip(packed, counts):
+        obj = obj[:m]
+        total = float(obj.sum())  # before the row is squared in place
+        sums += (total, float(np.square(obj, out=obj).sum()), float(e2e[:m].sum()), m)
     return sums
 
 
@@ -517,7 +528,8 @@ def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policies,
                sir_grid_db, trials: int, seed: int, workers: int = 1,
                block_size: int = BLOCK_SIZE) -> list[RateEstimate]:
     """Expected-rate sweep over the average-SIR operating points of
-    `sir_grid_db` for each power policy of `policies` ("optimal", "fixed").
+    `sir_grid_db` for each distinct power policy of `policies` ("optimal",
+    "fixed"); a repeated policy raises ValueError.
 
     Emits both the allocation objective E[log2(1+gamma2)] and the
     end-to-end half-duplex rate E[0.5 log2(1+gamma_bs1)] per point, policy
@@ -528,13 +540,17 @@ def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policies,
     regardless of `workers`.
     """
     policies = tuple(policies)
-    for policy in policies:
+    for i, policy in enumerate(policies):
         if policy not in ("optimal", "fixed"):
             raise ValueError(f"policy must be 'optimal' or 'fixed', got {policy!r}")
+        if policy in policies[:i]:
+            raise ValueError(f"policy {policy!r} is repeated: policies must be distinct")
     if trials < RATE_MIN_TRIALS:
         raise ValueError(f"trials must be >= {RATE_MIN_TRIALS} per grid point")
     if "optimal" in policies and (lam is None or lam < 0):
         raise ValueError("optimal policy requires a solved water level")
+    if not policies:
+        return []
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
     sums = _sweep(_rate_block, [(c, geom, lam, policies, SLICE_DRAWS) for c in configs],
                   trials, seed, workers, block_size, w2=False)

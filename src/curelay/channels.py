@@ -199,13 +199,16 @@ def dist_t(x, geom: ScenarioGeometry):
 def dist_gamma_ratio(x, eta, gamma_bar_lin):
     """pdf/cdf of a path-loss-scaled ratio SIR component eta * X/Y, where X
     is exponential with mean gamma_bar and Y exponential with mean 1:
-    pdf = s/(x+s)^2, cdf = x/(x+s) with scale s = eta * gamma_bar."""
+    pdf = s/(x+s)^2 (s/(x+s)/(x+s) where the square overflows), cdf = x/(x+s)
+    with scale s = eta * gamma_bar; at x = inf, their limits 0 and 1."""
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     if not gamma_bar_lin > 0:
         raise ValueError(f"gamma_bar_lin must be > 0, got {gamma_bar_lin}")
     arr = _require_pos(x, "dist_gamma_ratio", zero_ok=True)
     s = eta * gamma_bar_lin
-    pdf = s / (arr + s) ** 2
-    cdf = arr / (arr + s)
+    t = arr + s
+    with np.errstate(over="ignore", invalid="ignore"):
+        pdf = np.where(np.isinf(t * t), s / t / t, s / t ** 2)[()]
+        cdf = np.where(np.isinf(t), 1.0, arr / t)[()]
     return pdf, cdf

@@ -62,35 +62,45 @@ def relay_gain(draw: FadingRealization, geom: ScenarioGeometry, p_cci: float, p_
         return total ** -0.5
 
 
-def _harmonic(num_a, num_b, den_b):
+def _harmonic(num_a, num_b, den_b, out=(None, None)):
     """a*b/(a + c), taken to its limit where an input is infinite: b where
     only a is, inf where all three are. Both fix-ups are for elements whose
-    finite formula gives inf/inf or inf*0, i.e. NaN, so an all-finite result
-    is returned as it is."""
+    finite formula gives inf/inf or inf*0, i.e. NaN, so a result whose sum
+    is not NaN is returned as it is. `out`, if given, is the row for the
+    result and a scratch row, neither of them an input's."""
+    row, scratch = out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = num_a * num_b / (num_a + den_b)
-    if np.isfinite(out).all():
-        return out
-    a_inf = np.isinf(num_a)
-    b_inf = np.isinf(num_b)
-    c_inf = np.isinf(den_b)
-    out = np.where(a_inf & ~b_inf & ~c_inf, num_b, out)
-    out = np.where(b_inf & c_inf & a_inf, np.inf, out)
-    return out
+        res = np.divide(np.multiply(num_a, num_b, out=row), np.add(num_a, den_b, out=scratch),
+                        out=row)
+        if not np.isnan(np.sum(res)):
+            return res
+    a_inf, b_inf, c_inf = np.isinf(num_a), np.isinf(num_b), np.isinf(den_b)
+    res = np.where(a_inf & ~b_inf & ~c_inf, num_b, res)
+    res = np.where(b_inf & c_inf & a_inf, np.inf, res)
+    if row is None:
+        return res
+    np.copyto(row, res)
+    return row
 
 
-def _bs_terms(draw: FadingRealization, geom: ScenarioGeometry, p_su1, cci, out=(None, None)):
-    """(gamma1, gamma2) at SU power p_su1, given the draw's interference
-    cci = P (q^-eps u2 + r^-eps v2) (`power._interference`). `out`, if
-    given, holds the rows for gamma1 and gamma2."""
-    row1, row2 = out
+def _gamma1(draw: FadingRealization, geom: ScenarioGeometry, out=None):
+    """gamma1 = eta1 h2/u2, into the row `out` if given."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma1 = np.divide(np.multiply(derive_etas(geom).eta1, draw.h2, out=row1), draw.u2,
-                           out=row1)
-        gamma2 = np.multiply(np.multiply(p_su1, geom.l ** -geom.epsilon, out=row2), draw.g2,
-                             out=row2)
-        gamma2 = np.divide(gamma2, cci, out=row2)
-    return gamma1, gamma2
+        return np.divide(np.multiply(derive_etas(geom).eta1, draw.h2, out=out), draw.u2, out=out)
+
+
+def _gamma2(draw: FadingRealization, geom: ScenarioGeometry, p_su1, cci, out=None):
+    """gamma2 = P_su1 l^-eps g2/cci at SU power p_su1 (a row or one number),
+    given the draw's interference cci (`power._interference`), into the row
+    `out` if given."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain = np.multiply(np.multiply(p_su1, geom.l ** -geom.epsilon, out=out), draw.g2, out=out)
+        return np.divide(gain, cci, out=out)
+
+
+def _bs_terms(draw: FadingRealization, geom: ScenarioGeometry, p_su1, cci):
+    """(gamma1, gamma2) at SU power p_su1 (`_gamma1`, `_gamma2`)."""
+    return _gamma1(draw, geom), _gamma2(draw, geom, p_su1, cci)
 
 
 def _su_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1,

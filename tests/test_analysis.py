@@ -449,9 +449,8 @@ def test_outage_block_allocates_no_slice_arrays(default_geom, default_cfg, solve
 
 
 def test_rate_block_allocates_no_bs_term_arrays(default_geom, default_cfg, solved):
-    # after a warm-up block, a rate block's BS terms and validity masks go
-    # into the slice rows: its traced peak stays below five slice rows, the
-    # most that _harmonic's temporaries take at once
+    # after a warm-up block, a rate block's BS terms, gamma_bs1 and validity
+    # masks go into the slice rows: its traced peak stays below one slice row
     task = (_rate_block, (default_cfg, default_geom, solved, ("optimal", "fixed"), SLICE_DRAWS),
             5, 0, BLOCK_SIZE, False)
     want = _run_block(task)
@@ -462,7 +461,29 @@ def test_rate_block_allocates_no_bs_term_arrays(default_geom, default_cfg, solve
     finally:
         tracemalloc.stop()
     assert got == want
-    assert peak < 5 * SLICE_DRAWS * 8, peak
+    assert peak < SLICE_DRAWS * 8, peak
+
+
+def test_rate_block_touches_only_its_gain_rows(default_geom, default_cfg, solved):
+    # a two-policy rate block packs its terms into the five gain rows it has
+    # read, so the workspace rows past them keep their NaN sentinels
+    task = (_rate_block, (default_cfg, default_geom, solved, ("optimal", "fixed"), SLICE_DRAWS),
+            5, 0, BLOCK_SIZE, False)
+    want = _run_block(task)
+    got = []
+
+    def run():
+        curelay.analysis._scratch.rows = _fresh_workspace(BLOCK_SIZE)
+        got.append(_run_block(task))
+        got.append(curelay.analysis._scratch.rows[5:])
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    row, spare = got
+    assert row == want
+    assert spare and all(np.isnan(r).all() for r in spare)
 
 
 def test_outage_ci_definition(default_geom, default_cfg, solved):
@@ -660,6 +681,28 @@ def test_rate_objective_flat_in_gamma_bar(default_geom, default_cfg, solved):
         assert ests[0].rate_objective == pytest.approx(
             ests[1].rate_objective,
             abs=3 * math.hypot(ests[0].ci_halfwidth, ests[1].ci_halfwidth))
+
+
+def _count_sampling(monkeypatch):
+    calls = []
+    real = curelay.analysis.sample_fading
+    monkeypatch.setattr(curelay.analysis, "sample_fading",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_rate_no_policies_samples_nothing(default_geom, default_cfg, solved, monkeypatch):
+    calls = _count_sampling(monkeypatch)
+    assert rate_curve(default_geom, default_cfg, solved, (), [10.0], 100_000, seed=1) == []
+    assert calls == []
+
+
+def test_rate_rejects_a_repeated_policy(default_geom, default_cfg, solved, monkeypatch):
+    calls = _count_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="'optimal' is repeated"):
+        rate_curve(default_geom, default_cfg, solved, ("optimal", "optimal"), [10.0],
+                   100_000, seed=1)
+    assert calls == []
 
 
 def test_rate_guards(default_geom, default_cfg, solved):

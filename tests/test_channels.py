@@ -3,6 +3,7 @@ the interference-ratio variables, each checked against an independent route
 (quadrature of the defining integral, Monte-Carlo ECDF, finite differences)."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -311,6 +312,17 @@ def test_gamma_ratio_point_values():
     assert cdf == pytest.approx(0.5, rel=1e-15)
     _, cdf0 = dist_gamma_ratio(0.0, 3.7, 10.0)
     assert cdf0 == 0.0
+
+
+def test_gamma_ratio_limits_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist_gamma_ratio(np.inf, 1.0, 1.0) == (0.0, 1.0)
+        # past the square's overflow the pdf divides twice; below it, as before
+        x = np.array([1e200, 1e150, 2.0])
+        pdf, cdf = dist_gamma_ratio(x, 3.7, 10.0)
+    assert pdf.tolist() == [37.0 / 1e200 / 1e200, 37.0 / (1e150 + 37.0) ** 2, 37.0 / 39.0 ** 2]
+    assert cdf.tolist() == [1e200 / (1e200 + 37.0), 1e150 / (1e150 + 37.0), 2.0 / 39.0]
 
 
 def test_gamma_ratio_mc_ks(default_cfg, default_geom, default_etas):

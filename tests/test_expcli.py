@@ -189,6 +189,22 @@ def test_outage_su_at_extreme_thresholds(tmp_path, gamma_th, bound):
     assert [row[7] for row in rows] == [bound] * 3
 
 
+@pytest.mark.parametrize("gamma_th", ["1e200", "1e308"])
+def test_outage_bs_at_huge_thresholds(tmp_path, gamma_th):
+    # 2 gamma_th overflows at 1e308: the bounds take the laws' limits there
+    cfgp = write_cfg(tmp_path, FAST_BODY.replace("trials = 20000", "trials = 10000")
+                     + f"gamma_th = {gamma_th}\n")
+    out = tmp_path / "o.csv"
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "curelay", "outage-bs",
+                        "--config", str(cfgp), "--out", str(out)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    _, _, rows = read_rows(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert row[8] == "1"
+        assert 0.0 <= float(row[7]) <= float(row[8])
+
+
 def test_rate_csv(tmp_path):
     body = FAST_BODY.replace("trials = 20000", "trials = 100000")
     cfg = load_config(write_cfg(tmp_path, body))

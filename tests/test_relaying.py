@@ -108,6 +108,9 @@ def test_harmonic_limits_for_infinite_inputs():
     for i in range(a.size):  # one element at a time, all-finite results included
         got = _harmonic(a[i:i + 1], b[i:i + 1], c[i:i + 1])
         assert got.tobytes() == want[i:i + 1].tobytes(), (a[i], b[i], c[i])
+    rows = np.full(a.size, 7.0), np.full(a.size, 7.0)  # result and scratch rows
+    got = _harmonic(a, b, c, out=rows)
+    assert got is rows[0] and got.tobytes() == want.tobytes()
     inf = np.float64(np.inf)
     assert _harmonic(inf, np.float64(2.0), np.float64(3.0)) == 2.0
     assert _harmonic(inf, inf, inf) == np.inf
