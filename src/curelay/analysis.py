@@ -9,7 +9,7 @@ one flat row of sums. Scaling h2, g2, f2 by a point's gamma_bar is bitwise
 what sampling at that mean gives. An `outage_mc` sweep is one group, so
 every point reuses the draws of blocks (seed, i); a `rate_curve` point is a
 group of its own, whose block scales its draw in place and skips w2, which
-no rate term reads, and every power policy of the call is evaluated on that
+no rate term reads, and evaluates the optimal and the fixed power on that
 point's draws. Every block function slices its own block into `SLICE_DRAWS`
 draws, which keeps the elementwise working set in cache: an outage block
 adds the slices' integer counts, while a rate block packs the per-draw terms
@@ -19,21 +19,21 @@ moves a bit. Each call runs all its blocks through one process pool and sums
 each group's rows in block order, so results are bit-identical for any
 worker count.
 
-A block does not allocate its block-length arrays: each process (each
-thread of it) keeps one workspace of six float64 rows (`_workspace`), and
-every block it runs, in a pool worker every task too, draws its gains into
-them (rows 0-4 without w2). A rate block packs its terms into the gain rows
-it has already read, so it touches only rows 0-4. Each process also holds
-eight slice-length float64 rows and three bool rows (`_slice_rows`):
-`_bs_slice` writes a slice's BS terms there for both sweeps, through the
-`out=` rows of the helpers that hold each formula, and the outage counting,
-a rate slice's gamma_bs1 and its validity mask use the rest. An outage
-slice allocates only the dual-route check's two arrays of its length, a
-rate slice nothing of its length. A shorter last block or slice uses the
-leading elements of each row. The rows are scratch, not a cache: every user
-writes an element before it reads it, so its result is the same as with
-fresh arrays, and only the page faults of fresh memory (about 10 MB a rate
-block, thousands of faults an outage block) are saved.
+A block does not allocate its block-length arrays: each process (each thread
+of it) keeps one workspace of six float64 rows (`_workspace`), and every
+block it runs, in a pool worker every task too, draws its gains into them
+(rows 0-4 without w2). A rate block packs its terms into the gain rows it
+has already read, so it touches only rows 0-4. Each process also holds eight
+slice-length float64 rows and three bool rows (`_slice_rows`): `_bs_slice`
+writes a slice's optimal-power BS terms there for both sweeps, through the
+`out=` rows of the helpers that hold each formula, and the outage counting
+and a rate slice's fixed gamma2, gamma_bs1 and validity mask use the rest.
+An outage slice allocates only the dual-route check's two arrays of its
+length, a rate slice nothing of its length. A shorter last block or slice
+uses the leading elements of each row. The rows are scratch, not a cache:
+every user writes an element before it reads it, so its result is the same
+as with fresh arrays, and only the page faults of fresh memory (about 10 MB
+a rate block, thousands of faults an outage block) are saved.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
@@ -59,6 +59,7 @@ non-outage on both sides.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -185,9 +186,9 @@ _WORKSPACE_ROWS = 6
 # Slice rows: the float and bool rows _critical returns an outage slice's
 # crit and exact in (a rate slice's validity mask goes into the bool one),
 # then scratch rows for the slice's temporaries: seven float (_bs_slice's
-# interference, head, tail, P_su1, gamma1 and one gamma2 per policy) and two
-# bool (comparison masks), which the counting in _outage_block and a rate
-# slice's gamma_bs1 reuse once the slice's gamma2 rows are formed.
+# interference, head, tail, P_su1, gamma1 and gamma2, then a rate slice's
+# fixed gamma2) and two bool (comparison masks), which the counting in
+# _outage_block and a rate slice's gamma_bs1 reuse once gamma2 is formed.
 _SLICE_ROWS, _SLICE_MASKS = 8, 3
 _scratch = threading.local()
 
@@ -230,15 +231,17 @@ def _sweep(block_fn, groups, trials, seed, workers, block_size, w2=True):
     """Per argument tuple of `groups`, in order, the column sums of the rows
     block_fn(draw, *args) returns for the group's unit-mean blocks, over
     `trials` draws in the block layout of the module docstring. With `w2`
-    false the blocks are drawn without w2, for a block_fn that never reads it."""
+    false the blocks are drawn without w2, for a block_fn that never reads it.
+    A pool forks all its processes at its first task, so it gets no more
+    than `workers`, the CPUs or the tasks."""
     n_full, rem = divmod(trials, block_size)
     sizes = [block_size] * n_full + ([rem] if rem else [])
     tasks = [(block_fn, args, seed, k * 1_000_000 + i, n, w2)
              for k, args in enumerate(groups) for i, n in enumerate(sizes)]
-    if workers <= 1:
+    if workers <= 1 or not tasks:
         rows = [_run_block(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(min(workers, os.cpu_count() or 1, len(tasks))) as pool:
             rows = list(pool.map(_run_block, tasks))
     nb = len(sizes)
     return [[sum(col) for col in zip(*rows[k * nb:(k + 1) * nb])] for k in range(len(groups))]
@@ -257,23 +260,17 @@ def _outage_point(draw, cfg, geom, lam, gamma_th, side):
     return n_out, n_counted
 
 
-def _bs_slice(draw, cfg, geom, lam, policies):
+def _bs_slice(draw, cfg, geom, lam):
     """This thread's slice rows for `draw` (at most one slice), its float
-    scratch rows holding interference, head, tail, P_su1, gamma1 and then
-    gamma2 under each policy of `policies` ("optimal", "fixed"; at most two),
-    in order. Head, tail and P_su1 are the optimal policy's, unwritten
-    without it: the fixed power is one number for every draw."""
+    scratch rows holding interference, head, tail, P_su1, gamma1 and gamma2
+    under the optimal power, in order; the last float row is left free."""
     rows = _slice_rows(draw.h2.size)
-    cci, head, tail, p_su1, gamma1, *gamma2s = rows[2]
+    cci, head, tail, p_su1, gamma1, gamma2, _ = rows[2]
     _interference(draw, geom, cfg, out=(cci, head))
     _gamma1(draw, geom, out=gamma1)
-    for policy, gamma2 in zip(policies, gamma2s):
-        if policy == "optimal":
-            _power_terms(draw, geom, cfg, lam, cci, out=(head, tail))
-            power = optimal_power(draw, geom, cfg, lam, terms=(head, tail), out=p_su1)
-        else:
-            power = fixed_power(cfg, geom)
-        _gamma2(draw, geom, power, cci, out=gamma2)
+    _power_terms(draw, geom, cfg, lam, cci, out=(head, tail))
+    optimal_power(draw, geom, cfg, lam, terms=(head, tail), out=p_su1)
+    _gamma2(draw, geom, p_su1, cci, out=gamma2)
     return rows
 
 
@@ -286,7 +283,7 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
     `draw` is at most one slice (SLICE_DRAWS draws) long: the thread keeps
     its slice rows at the longest length it has been given."""
     crit, exact, (cci, head, tail, p_su1, gamma1, gamma2, _), (m1, m2) = _bs_slice(
-        draw, cfg, geom, lam, ("optimal",))
+        draw, cfg, geom, lam)
     check_gamma2_routes(draw, geom, cfg, lam, gamma2)
     band = _CRIT_BAND
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -489,22 +486,25 @@ def su_outage_closed_form(gamma_th: float, geom: ScenarioGeometry, cfg: PowerCon
     return float(cdf)
 
 
-def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
-    """Per policy: the sum and the sum of squares of log2(1 + gamma2), the
-    sum of 0.5 log2(1 + gamma_bs1), and the count of draws where both are
-    finite. It overwrites `draw`. Each slice's BS terms are formed for
-    every policy (`_bs_slice`), and then policy j packs its two terms of the
-    counted draws at [m_j, m_j + counted) of h2 and u2 (v2 and f2 for j = 1),
-    where m_j never exceeds the slice's start: into gains already read. Each
-    sum runs over the same array as on the whole block, so the result does
-    not depend on `slice_draws`."""
+def _rate_block(draw, cfg, geom, lam, slice_draws):
+    """Under the optimal and then the fixed power: the sum and the sum of
+    squares of log2(1 + gamma2), the sum of 0.5 log2(1 + gamma_bs1), and the
+    count of draws where both are finite. It overwrites `draw`. Each slice's
+    BS terms come from `_bs_slice`, the fixed gamma2 into its free row; then
+    the optimal policy packs its two terms of the counted draws at
+    [m, m + counted) of h2 and u2 and the fixed one into v2 and f2, where m
+    never exceeds the slice's start: into gains already read. Each sum runs
+    over the same array as on the whole block, so the result does not depend
+    on `slice_draws`."""
     draw = _at_mean(draw, cfg)
-    packed = ((draw.h2, draw.u2), (draw.v2, draw.f2))[:len(policies)]
-    counts = [0] * len(policies)
+    p_fix = fixed_power(cfg, geom)
+    packed = ((draw.h2, draw.u2), (draw.v2, draw.f2))
+    counts = [0, 0]
     for piece in _slices(draw, slice_draws):
-        _, valid, (_, head, _, p_su1, gamma1, *gamma2s), _ = _bs_slice(piece, cfg, geom, lam,
-                                                                       policies)
-        for j, (gamma2, (obj, e2e)) in enumerate(zip(gamma2s, packed)):
+        _, valid, (cci, head, _, p_su1, gamma1, gamma2, gamma2_fix), _ = _bs_slice(
+            piece, cfg, geom, lam)
+        _gamma2(piece, geom, p_fix, cci, out=gamma2_fix)
+        for j, (gamma2, (obj, e2e)) in enumerate(zip((gamma2, gamma2_fix), packed)):
             gbs = _harmonic(gamma1, gamma2, gamma2, out=(p_su1, head))
             # gamma_bs1 is NaN or inf wherever gamma2 is, so this is every
             # draw where both are finite
@@ -524,38 +524,28 @@ def _rate_block(draw, cfg, geom, lam, policies, slice_draws):
     return sums
 
 
-def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, policies,
-               sir_grid_db, trials: int, seed: int, workers: int = 1,
+def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, sir_grid_db,
+               trials: int, seed: int, workers: int = 1,
                block_size: int = BLOCK_SIZE) -> list[RateEstimate]:
     """Expected-rate sweep over the average-SIR operating points of
-    `sir_grid_db` for each distinct power policy of `policies` ("optimal",
-    "fixed"); a repeated policy raises ValueError.
+    `sir_grid_db` under the optimal and the fixed power policy.
 
     Emits both the allocation objective E[log2(1+gamma2)] and the
-    end-to-end half-duplex rate E[0.5 log2(1+gamma_bs1)] per point, policy
-    by policy in the order given (the CSV's row order). Point k draws its
-    blocks from streams (seed, k * 1,000,000 + i) once, and every policy is
-    evaluated on those same draws, so a policy's estimates do not depend on
-    which other policies share the call. Deterministic for a given seed
-    regardless of `workers`.
+    end-to-end half-duplex rate E[0.5 log2(1+gamma_bs1)] per point: every
+    point's optimal estimate first, then every fixed one (the CSV's row
+    order). Point k draws its blocks from streams (seed, k * 1,000,000 + i)
+    once, and both policies are evaluated on those same draws.
+    Deterministic for a given seed regardless of `workers`.
     """
-    policies = tuple(policies)
-    for i, policy in enumerate(policies):
-        if policy not in ("optimal", "fixed"):
-            raise ValueError(f"policy must be 'optimal' or 'fixed', got {policy!r}")
-        if policy in policies[:i]:
-            raise ValueError(f"policy {policy!r} is repeated: policies must be distinct")
     if trials < RATE_MIN_TRIALS:
         raise ValueError(f"trials must be >= {RATE_MIN_TRIALS} per grid point")
-    if "optimal" in policies and (lam is None or lam < 0):
+    if lam is None or lam < 0:
         raise ValueError("optimal policy requires a solved water level")
-    if not policies:
-        return []
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
-    sums = _sweep(_rate_block, [(c, geom, lam, policies, SLICE_DRAWS) for c in configs],
+    sums = _sweep(_rate_block, [(c, geom, lam, SLICE_DRAWS) for c in configs],
                   trials, seed, workers, block_size, w2=False)
     out = []
-    for j, policy in enumerate(policies):
+    for j, policy in enumerate(("optimal", "fixed")):
         for sir_db, point in zip(sir_grid_db, sums):
             s, ss, se, n_valid = point[4 * j:4 * j + 4]
             mean_obj = s / n_valid

@@ -255,8 +255,8 @@ def _outage_rows(cfg: ExperimentConfig, side: str, lam: float):
 
 
 def _rate_rows(cfg: ExperimentConfig, lam: float):
-    ests = rate_curve(cfg.geometry, cfg.power, lam, ("optimal", "fixed"), cfg.sir_grid_db,
-                      cfg.trials, cfg.seed, cfg.workers)
+    ests = rate_curve(cfg.geometry, cfg.power, lam, cfg.sir_grid_db, cfg.trials, cfg.seed,
+                      cfg.workers)
     return [(est.sir_db, cfg.power.w_db, cfg.power.p_cci_db, est.policy,
              est.rate_objective, est.rate_endtoend, est.ci_halfwidth, est.trials)
             for est in ests]

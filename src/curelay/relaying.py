@@ -98,11 +98,6 @@ def _gamma2(draw: FadingRealization, geom: ScenarioGeometry, p_su1, cci, out=Non
         return np.divide(gain, cci, out=out)
 
 
-def _bs_terms(draw: FadingRealization, geom: ScenarioGeometry, p_su1, cci):
-    """(gamma1, gamma2) at SU power p_su1 (`_gamma1`, `_gamma2`)."""
-    return _gamma1(draw, geom), _gamma2(draw, geom, p_su1, cci)
-
-
 def _su_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig, p_su1,
               out=(None, None, None)):
     """(gamma3, gamma4, gamma5 - gamma4) at SU power p_su1, where
@@ -163,7 +158,7 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
 
     cci = _interference(batch, geom, cfg)
     p_su1 = optimal_power(batch, geom, cfg, lam, terms=_power_terms(batch, geom, cfg, lam, cci))
-    gamma1, gamma2 = _bs_terms(batch, geom, p_su1, cci)
+    gamma1, gamma2 = _gamma1(batch, geom), _gamma2(batch, geom, p_su1, cci)
     gamma_bs1 = _harmonic(gamma1, gamma2, gamma2)
     gamma3, gamma4, added = _su_terms(batch, geom, cfg, p_su1)
     # gamma5 = (P s^-eps h2 + P_su1 l^-eps g2)/(P r^-eps v2), grouped so

@@ -215,8 +215,8 @@ def test_criterion_6_rate_comparison(scenario):
     geom, power = scenario
     assert power.p_cci_db == 20.0
     lam = solve_water_level(geom, power).lam
-    opt = rate_curve(geom, power, lam, ("optimal",), [25.0, 35.0], 10**6, seed=61)
-    fix = rate_curve(geom, power, lam, ("fixed",), [25.0, 35.0], 10**6, seed=61)
+    ests = rate_curve(geom, power, lam, [25.0, 35.0], 10**6, seed=61)
+    opt, fix = ests[:2], ests[2:]
     ratio = opt[0].rate_objective / fix[0].rate_objective
     saturation = fix[1].rate_objective - fix[0].rate_objective
     ok = ratio >= 1.5 and saturation < 0.2
@@ -228,8 +228,7 @@ def test_criterion_6_rate_comparison(scenario):
         g = ScenarioGeometry(s=geom.s, l=geom.l, r=geom.r, q=geom.q, z=geom.z,
                              d=geom.d, epsilon=eps)
         lam_e = solve_water_level(g, power).lam
-        o = rate_curve(g, power, lam_e, ("optimal",), [25.0], 2 * 10**5, seed=62)[0]
-        f = rate_curve(g, power, lam_e, ("fixed",), [25.0], 2 * 10**5, seed=62)[0]
+        o, f = rate_curve(g, power, lam_e, [25.0], 2 * 10**5, seed=62)
         miss = math.hypot(o.rate_objective / 5.2 - 1.0, f.rate_objective / 2.9 - 1.0)
         if best is None or miss < best[1]:
             best = (eps, miss, o.rate_objective, f.rate_objective)

@@ -3,6 +3,7 @@ closed form against brute force, and the rate curves."""
 
 import copy
 import math
+import os
 import threading
 import tracemalloc
 import warnings
@@ -33,7 +34,7 @@ from curelay.analysis import (BLOCK_SIZE, _UNIT_MEAN, SLICE_DRAWS, _at_mean, _cr
 from curelay.channels import dist_gamma_ratio, dist_t
 from curelay.mathkernel import NumericTolerance, integrate
 from curelay.power import _interference, _power_terms, fixed_power, optimal_power
-from curelay.relaying import _bs_terms, _harmonic, check_gamma2_routes
+from curelay.relaying import _gamma1, _gamma2, _harmonic, check_gamma2_routes
 
 TIGHT = NumericTolerance(rel_tol=1e-11, abs_tol=1e-300, max_iter=4000)
 
@@ -183,8 +184,8 @@ def test_dual_route_check_decides_as_the_masked_check(default_geom, default_cfg,
     # gamma2 > 1 so that a 1e-8 relative change is a 1e-8 gap
     unit = replace(default_cfg, gamma_bar_db=0.0)
     draw = sample_fading(np.random.default_rng(41), _UNIT_MEAN, SLICE_DRAWS)
-    gamma2 = _bs_terms(draw, default_geom, optimal_power(draw, default_geom, unit, solved),
-                       _interference(draw, default_geom, unit))[1]
+    gamma2 = _gamma2(draw, default_geom, optimal_power(draw, default_geom, unit, solved),
+                     _interference(draw, default_geom, unit))
     big = np.flatnonzero(gamma2 > 1.0)
     spots = [int(big[0]), int(big[big.size // 2]), int(big[-1])]
     # a zero f2 and u2 = v2 = 0 make the reformulation inf, f2 = g2 = 0 NaN
@@ -410,8 +411,8 @@ def test_critical_equals_reference_bit_for_bit(default_geom, default_cfg, solved
     # rows an earlier, longer one has left its values in
     unit = replace(default_cfg, gamma_bar_db=0.0)
     draw = _adversarial_draw(default_geom, unit, solved, SLICE_DRAWS + 300)
-    gamma2 = _bs_terms(draw, default_geom, optimal_power(draw, default_geom, unit, solved),
-                       _interference(draw, default_geom, unit))[1]
+    gamma2 = _gamma2(draw, default_geom, optimal_power(draw, default_geom, unit, solved),
+                     _interference(draw, default_geom, unit))
     on_gamma2 = float(gamma2[np.flatnonzero(gamma2 > 0)[5]])  # a draw with gamma2 == gamma_th
     checked = 0
     for gamma_th in (0.0, 0.5, 3.0, on_gamma2, 1e300, 1.7e308):
@@ -451,8 +452,8 @@ def test_outage_block_allocates_no_slice_arrays(default_geom, default_cfg, solve
 def test_rate_block_allocates_no_bs_term_arrays(default_geom, default_cfg, solved):
     # after a warm-up block, a rate block's BS terms, gamma_bs1 and validity
     # masks go into the slice rows: its traced peak stays below one slice row
-    task = (_rate_block, (default_cfg, default_geom, solved, ("optimal", "fixed"), SLICE_DRAWS),
-            5, 0, BLOCK_SIZE, False)
+    task = (_rate_block, (default_cfg, default_geom, solved, SLICE_DRAWS), 5, 0, BLOCK_SIZE,
+            False)
     want = _run_block(task)
     tracemalloc.start()
     try:
@@ -465,10 +466,10 @@ def test_rate_block_allocates_no_bs_term_arrays(default_geom, default_cfg, solve
 
 
 def test_rate_block_touches_only_its_gain_rows(default_geom, default_cfg, solved):
-    # a two-policy rate block packs its terms into the five gain rows it has
+    # a rate block packs both policies' terms into the five gain rows it has
     # read, so the workspace rows past them keep their NaN sentinels
-    task = (_rate_block, (default_cfg, default_geom, solved, ("optimal", "fixed"), SLICE_DRAWS),
-            5, 0, BLOCK_SIZE, False)
+    task = (_rate_block, (default_cfg, default_geom, solved, SLICE_DRAWS), 5, 0, BLOCK_SIZE,
+            False)
     want = _run_block(task)
     got = []
 
@@ -658,14 +659,14 @@ def test_w_cci_difference_invariance(default_geom):
 def test_rate_zero_budget(default_geom):
     cfg = PowerConfig(p_cci_db=20.0, w_db=-100.0, gamma_bar_db=25.0)
     lam = solve_water_level(default_geom, cfg).lam
-    est = rate_curve(default_geom, cfg, lam, ("optimal",), [25.0], 100_000, seed=12)[0]
+    est = rate_curve(default_geom, cfg, lam, [25.0], 100_000, seed=12)[0]
     assert est.rate_objective < 1e-3
 
 
 def test_rate_optimal_beats_fixed(default_geom, default_cfg, solved):
     grid = [15.0, 25.0]
-    opt = rate_curve(default_geom, default_cfg, solved, ("optimal",), grid, 200_000, seed=13)
-    fix = rate_curve(default_geom, default_cfg, solved, ("fixed",), grid, 200_000, seed=13)
+    ests = rate_curve(default_geom, default_cfg, solved, grid, 200_000, seed=13)
+    opt, fix = ests[:2], ests[2:]
     for o, f in zip(opt, fix):
         assert o.rate_objective >= f.rate_objective - 3 * math.hypot(
             o.ci_halfwidth, f.ci_halfwidth)
@@ -675,43 +676,18 @@ def test_rate_optimal_beats_fixed(default_geom, default_cfg, solved):
 def test_rate_objective_flat_in_gamma_bar(default_geom, default_cfg, solved):
     # the allocation objective depends on gamma_bar only through g2's mean,
     # which cancels against the policy normalization on both policies
-    for policy in ("optimal", "fixed"):
-        ests = rate_curve(default_geom, default_cfg, solved, (policy,),
-                          [10.0, 30.0], 200_000, seed=14)
+    both = rate_curve(default_geom, default_cfg, solved, [10.0, 30.0], 200_000, seed=14)
+    for ests in (both[:2], both[2:]):
         assert ests[0].rate_objective == pytest.approx(
             ests[1].rate_objective,
             abs=3 * math.hypot(ests[0].ci_halfwidth, ests[1].ci_halfwidth))
 
 
-def _count_sampling(monkeypatch):
-    calls = []
-    real = curelay.analysis.sample_fading
-    monkeypatch.setattr(curelay.analysis, "sample_fading",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
-    return calls
-
-
-def test_rate_no_policies_samples_nothing(default_geom, default_cfg, solved, monkeypatch):
-    calls = _count_sampling(monkeypatch)
-    assert rate_curve(default_geom, default_cfg, solved, (), [10.0], 100_000, seed=1) == []
-    assert calls == []
-
-
-def test_rate_rejects_a_repeated_policy(default_geom, default_cfg, solved, monkeypatch):
-    calls = _count_sampling(monkeypatch)
-    with pytest.raises(ValueError, match="'optimal' is repeated"):
-        rate_curve(default_geom, default_cfg, solved, ("optimal", "optimal"), [10.0],
-                   100_000, seed=1)
-    assert calls == []
-
-
 def test_rate_guards(default_geom, default_cfg, solved):
     with pytest.raises(ValueError):
-        rate_curve(default_geom, default_cfg, solved, ("greedy",), [25.0], 100_000, seed=1)
+        rate_curve(default_geom, default_cfg, solved, [25.0], 99, seed=1)
     with pytest.raises(ValueError):
-        rate_curve(default_geom, default_cfg, solved, ("optimal",), [25.0], 99, seed=1)
-    with pytest.raises(ValueError):
-        rate_curve(default_geom, default_cfg, None, ("optimal",), [25.0], 100_000, seed=1)
+        rate_curve(default_geom, default_cfg, None, [25.0], 100_000, seed=1)
 
 
 # float.hex of (sir_db, policy, rate_objective, rate_endtoend, ci_halfwidth,
@@ -735,8 +711,7 @@ RATE_KW = dict(sir_grid_db=(10.0, 25.0), trials=100_000, seed=31, block_size=30_
 
 def test_rate_estimates_frozen(default_geom, default_cfg, solved):
     for workers in (1, 2):
-        ests = rate_curve(default_geom, default_cfg, solved, ("optimal", "fixed"),
-                          workers=workers, **RATE_KW)
+        ests = rate_curve(default_geom, default_cfg, solved, workers=workers, **RATE_KW)
         got = [(e.sir_db, e.policy, e.rate_objective.hex(), e.rate_endtoend.hex(),
                 e.ci_halfwidth.hex(), e.trials) for e in ests]
         assert got == FROZEN_RATES, workers
@@ -744,41 +719,32 @@ def test_rate_estimates_frozen(default_geom, default_cfg, solved):
 
 def test_rate_slices_leave_estimates_unchanged(monkeypatch, default_geom, default_cfg, solved):
     # blocks of 30_000 and 10_000 cut into slices of 7_000 with remainders
-    policies = ("optimal", "fixed")
     monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 30_000)
-    whole = rate_curve(default_geom, default_cfg, solved, policies, **RATE_KW)
+    whole = rate_curve(default_geom, default_cfg, solved, **RATE_KW)
     monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 7_000)
     for workers in (1, 2):
-        sliced = rate_curve(default_geom, default_cfg, solved, policies, workers=workers,
-                            **RATE_KW)
+        sliced = rate_curve(default_geom, default_cfg, solved, workers=workers, **RATE_KW)
         assert sliced == whole, workers
 
 
-def test_rate_two_policies_equal_two_one_policy_calls(default_geom, default_cfg, solved):
-    singles = [e for policy in ("fixed", "optimal")
-               for e in rate_curve(default_geom, default_cfg, solved, (policy,), **RATE_KW)]
-    both = rate_curve(default_geom, default_cfg, solved, ("fixed", "optimal"), **RATE_KW)
-    assert [e.policy for e in both] == ["fixed"] * 2 + ["optimal"] * 2
-    assert both == singles
-
-
 def test_rate_worker_invariance(default_geom, default_cfg, solved):
-    a = rate_curve(default_geom, default_cfg, solved, ("optimal",), [25.0], 100_000,
-                   seed=15, workers=1, block_size=25_000)
-    b = rate_curve(default_geom, default_cfg, solved, ("optimal",), [25.0], 100_000,
-                   seed=15, workers=4, block_size=25_000)
+    a = rate_curve(default_geom, default_cfg, solved, [25.0], 100_000, seed=15, workers=1,
+                   block_size=25_000)
+    b = rate_curve(default_geom, default_cfg, solved, [25.0], 100_000, seed=15, workers=4,
+                   block_size=25_000)
     assert a == b
 
 
-def _rate_reference(draw, cfg, geom, lam, policies):
+def _rate_reference(draw, cfg, geom, lam):
     """_rate_block's row from fresh whole-block arrays: the sums over the
     draws where log2(1 + gamma2) and 0.5 log2(1 + gamma_bs1) are both finite."""
     draw = _at_mean(copy.deepcopy(draw), cfg)
     row = []
-    for policy in policies:
+    for policy in ("optimal", "fixed"):
         p_su1 = (optimal_power(draw, geom, cfg, lam) if policy == "optimal"
                  else fixed_power(cfg, geom))
-        gamma1, gamma2 = _bs_terms(draw, geom, p_su1, _interference(draw, geom, cfg))
+        gamma1, gamma2 = _gamma1(draw, geom), _gamma2(draw, geom, p_su1,
+                                                    _interference(draw, geom, cfg))
         gbs = _harmonic(gamma1, gamma2, gamma2)
         valid = np.isfinite(gamma2) & np.isfinite(gbs)
         obj = np.log1p(gamma2[valid]) / math.log(2.0)
@@ -796,13 +762,12 @@ def test_rate_block_matches_fresh_array_reference(default_geom, default_cfg, sol
         getattr(draw, name)[i] = 0.0
     draw.u2[20] = draw.v2[20] = 0.0
     draw.h2[30] = draw.g2[30] = 0.0
-    policies = ("optimal", "fixed")
     for gamma_bar_db in (0.0, 20.0):
         cfg = replace(default_cfg, gamma_bar_db=gamma_bar_db)
-        want = _rate_reference(draw, cfg, default_geom, solved, policies)
+        want = _rate_reference(draw, cfg, default_geom, solved)
         assert want[3] == want[7] == 48
         for n in (1, 7, 50):
-            got = _rate_block(copy.deepcopy(draw), cfg, default_geom, solved, policies, n)
+            got = _rate_block(copy.deepcopy(draw), cfg, default_geom, solved, n)
             assert got == want, (gamma_bar_db, n)
 
 
@@ -815,8 +780,7 @@ def _sweep_sequence(geom, cfg, lam, workers):
     that, each over 2.5 blocks: the rows each returns."""
     configs = [replace(cfg, gamma_bar_db=g) for g in (0.0, 20.0, 40.0)]
     kw = dict(trials=50_000, seed=37, workers=workers, block_size=20_000)
-    rows = _sweep(_rate_block, [(c, geom, lam, ("optimal", "fixed"), 7_000) for c in configs[:2]],
-                  w2=False, **kw)
+    rows = _sweep(_rate_block, [(c, geom, lam, 7_000) for c in configs[:2]], w2=False, **kw)
     for gamma_th, side in ((3.0, "bs"), (0.5, "su")):
         rows += _sweep(_outage_block, [(configs, geom, lam, gamma_th, side, 7_000)], **kw)
     return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
@@ -852,6 +816,37 @@ def test_sweeps_in_two_threads_equal_one_at_a_time(default_geom, default_cfg, so
     assert got == [want, want]
 
 
+@pytest.mark.parametrize("cpus, size", [(None, 1), (3, 3), (64, 4)])
+def test_sweep_pool_is_no_larger_than_cpus_or_tasks(monkeypatch, default_geom, default_cfg,
+                                                    solved, cpus, size):
+    # four blocks at a million workers: the pool gets min(workers, CPUs,
+    # tasks) processes; a stand-in pool records its size and maps in this
+    # process, so no real pool is started at that count
+    kw = dict(gamma_th=3.0, side="bs", sir_grid_db=(10.0, 25.0), trials=40_000, seed=7,
+              block_size=10_000)
+    want = outage_mc(default_geom, default_cfg, solved, **kw)
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(curelay.analysis, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert outage_mc(default_geom, default_cfg, solved, workers=10**6, **kw) == want
+    assert rate_curve(default_geom, default_cfg, solved, [], 100_000, 1, workers=10**6) == []
+    assert sizes == [size]  # no pool for a call without tasks
+
+
 def _fresh_slice_rows(n):
     crit, *rows = (np.full(n, np.nan) for _ in range(curelay.analysis._SLICE_ROWS))
     exact, *masks = (np.ones(n, bool) for _ in range(curelay.analysis._SLICE_MASKS))
@@ -867,8 +862,8 @@ def test_rate_sweep_after_outage_sweep_equals_fresh_arrays(monkeypatch, default_
     kw = dict(trials=50_000, seed=41, workers=1, block_size=20_000)
 
     def rate():
-        return _sweep(_rate_block, [(c, default_geom, solved, ("optimal", "fixed"), 7_000)
-                                    for c in configs[:2]], w2=False, **kw)
+        return _sweep(_rate_block, [(c, default_geom, solved, 7_000) for c in configs[:2]],
+                      w2=False, **kw)
 
     monkeypatch.setattr(curelay.analysis, "_workspace", _fresh_workspace)
     monkeypatch.setattr(curelay.analysis, "_slice_rows", _fresh_slice_rows)

@@ -101,8 +101,7 @@ def test_rate_objective_within_3_ci_of_exact():
     exact = _exact_objective_rates(c.geometry, c.power, lam)
     assert exact["optimal"] == pytest.approx(2.004534042444441, rel=1e-10)
     assert exact["fixed"] == pytest.approx(1.1789532931558493, rel=1e-10)
-    ests = rate_curve(c.geometry, c.power, lam, ("optimal", "fixed"), c.sir_grid_db,
-                      c.trials, c.seed)
+    ests = rate_curve(c.geometry, c.power, lam, c.sir_grid_db, c.trials, c.seed)
     assert len(ests) == 2 * len(c.sir_grid_db)
     for est in ests:
         assert abs(est.rate_objective - exact[est.policy]) <= 3.0 * est.ci_halfwidth
