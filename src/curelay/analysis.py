@@ -17,23 +17,30 @@ of each slice's counted draws into block-length rows and forms its
 floating-point sums over the whole packed rows, so the slice length never
 moves a bit. Each call runs all its blocks through one process pool and sums
 each group's rows in block order, so results are bit-identical for any
-worker count.
+worker count. The pool module (`concurrent.futures`, and `multiprocessing`
+behind it) is imported when a sweep first starts a pool, through the module
+`__getattr__`, so importing the package loads neither.
 
 A block does not allocate its block-length arrays: each process (each thread
-of it) keeps one workspace of six float64 rows (`_workspace`), and every
-block it runs, in a pool worker every task too, draws its gains into them
-(rows 0-4 without w2). A rate block packs its terms into the gain rows it
-has already read, so it touches only rows 0-4. Each process also holds eight
+of it) keeps one workspace of five float64 rows (`_workspace`), and every
+block it runs, in a pool worker every task too, draws every gain but its
+last into them: h2 to v2 for an outage block, h2 to u2 (rows 0-3) for a
+rate block. The block function's slices then draw the last gain, w2 or v2,
+from the block's generator in order, each into one slice row; the generator
+fills an array element by element, so the bits are those of one draw over
+the whole block. A rate block packs its terms into the gain rows it has
+already read, so it touches only rows 0-3. Each process also holds nine
 slice-length float64 rows and three bool rows (`_slice_rows`): `_bs_slice`
 writes a slice's optimal-power BS terms there for both sweeps, through the
-`out=` rows of the helpers that hold each formula, and the outage counting
-and a rate slice's fixed gamma2, gamma_bs1 and validity mask use the rest.
-An outage slice allocates only the dual-route check's two arrays of its
-length, a rate slice nothing of its length. A shorter last block or slice
-uses the leading elements of each row. The rows are scratch, not a cache:
-every user writes an element before it reads it, so its result is the same
-as with fresh arrays, and only the page faults of fresh memory (about 10 MB
-a rate block, thousands of faults an outage block) are saved.
+`out=` rows of the helpers that hold each formula, the last float row holds
+the slice's last gain, and the outage counting and a rate slice's fixed
+gamma2, gamma_bs1 and validity mask use the rest. An outage slice allocates
+only the dual-route check's two arrays of its length, a rate slice nothing
+of its length. A shorter last block or slice uses the leading elements of
+each row. The rows are scratch, not a cache: every user writes an element
+before it reads it, so its result is the same as with fresh arrays, and
+only the page faults of fresh memory (about 8 MB a rate block, thousands of
+faults an outage block) are saved.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
@@ -60,8 +67,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -70,6 +77,7 @@ from .channels import (
     FadingRealization,
     PowerConfig,
     ScenarioGeometry,
+    _sample_gain,
     derive_etas,
     dist_gamma_ratio,
     dist_t,
@@ -163,10 +171,19 @@ def _select(draw, index):
     return FadingRealization(*(None if a is None else a[index] for a in gains))
 
 
-def _slices(draw, size):
-    """Consecutive slices of at most `size` draws of `draw`."""
+def _slices(draw, size, rng=None, last=None):
+    """Consecutive slices of at most `size` draws of `draw`. Where `draw`
+    lacks its gain `last` (None), each slice draws it from `rng`, in order,
+    into this thread's slice gain row (`_slice_rows`), valid until the next
+    slice: the bits one draw over the whole block gives (`sample_fading`).
+    A draw that carries `last` is sliced as it is."""
     for lo in range(0, draw.h2.size, size):
-        yield _select(draw, slice(lo, lo + size))
+        piece = _select(draw, slice(lo, lo + size))
+        if last is not None and getattr(piece, last) is None:
+            n = piece.h2.size
+            gain = _sample_gain(rng, _UNIT_MEAN, last, n, out=_slice_rows(n)[2][-1])
+            piece = replace(piece, **{last: gain})
+        yield piece
 
 
 def _at_mean(draw, cfg):
@@ -181,15 +198,17 @@ def _at_mean(draw, cfg):
 # worker, so a worker keeps its rows here across tasks. Separate rows, each
 # as large as one of the arrays they replace, keep a block's resident memory
 # what it was with fresh arrays: for one 2-D array numpy asks for huge
-# pages, and those straddle the rows a block leaves untouched.
-_WORKSPACE_ROWS = 6
+# pages, and those straddle the rows a block leaves untouched. A block's
+# last gain is drawn slice by slice into a slice row instead (`_slices`).
+_WORKSPACE_ROWS = 5
 # Slice rows: the float and bool rows _critical returns an outage slice's
 # crit and exact in (a rate slice's validity mask goes into the bool one),
-# then scratch rows for the slice's temporaries: seven float (_bs_slice's
+# then rows for the slice's temporaries: eight float (_bs_slice's
 # interference, head, tail, P_su1, gamma1 and gamma2, then a rate slice's
-# fixed gamma2) and two bool (comparison masks), which the counting in
-# _outage_block and a rate slice's gamma_bs1 reuse once gamma2 is formed.
-_SLICE_ROWS, _SLICE_MASKS = 8, 3
+# fixed gamma2, then the slice's last gain, which `_slices` draws) and two
+# bool (comparison masks), which the counting in _outage_block and a rate
+# slice's gamma_bs1 reuse once gamma2 is formed.
+_SLICE_ROWS, _SLICE_MASKS = 9, 3
 _scratch = threading.local()
 
 
@@ -214,17 +233,33 @@ def _workspace(n):
 
 def _slice_rows(n):
     """(crit, exact, rows, masks): this thread's slice rows for a slice of
-    n draws, the result rows first and then the float and bool scratch rows."""
+    n draws, the result rows first and then the float and bool scratch rows,
+    the last float row the slice's gain row (`_slices`)."""
     crit, *rows = _rows("slice_rows", _SLICE_ROWS, n)
     exact, *masks = _rows("slice_masks", _SLICE_MASKS, n, bool)
     return crit, exact, rows, masks
 
 
 def _run_block(task):
+    """block_fn's row for one block: every gain but the last (w2, or v2
+    without w2) is drawn into this thread's workspace rows, and the
+    generator is handed on for block_fn's slices to draw the last one."""
     block_fn, args, seed, stream, n, w2 = task
-    draw = sample_fading(np.random.default_rng([seed, stream]), _UNIT_MEAN, n, w2=w2,
-                         out=_workspace(n))
-    return block_fn(draw, *args)
+    rng = np.random.default_rng([seed, stream])
+    draw = sample_fading(rng, _UNIT_MEAN, n, w2=w2, out=_workspace(n)[:4 + w2])
+    return block_fn(draw, *args, rng=rng)
+
+
+def __getattr__(name):
+    # concurrent.futures imports multiprocessing (about 1.3 MiB and 11 ms),
+    # which only a pool needs: it is imported when a sweep first starts one
+    # and kept in the module globals, where a replacement set on the module
+    # takes its place
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sweep(block_fn, groups, trials, seed, workers, block_size, w2=True):
@@ -241,7 +276,8 @@ def _sweep(block_fn, groups, trials, seed, workers, block_size, w2=True):
     if workers <= 1 or not tasks:
         rows = [_run_block(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(min(workers, os.cpu_count() or 1, len(tasks))) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor  # imported on first use
+        with pool_class(min(workers, os.cpu_count() or 1, len(tasks))) as pool:
             rows = list(pool.map(_run_block, tasks))
     nb = len(sizes)
     return [[sum(col) for col in zip(*rows[k * nb:(k + 1) * nb])] for k in range(len(groups))]
@@ -263,9 +299,10 @@ def _outage_point(draw, cfg, geom, lam, gamma_th, side):
 def _bs_slice(draw, cfg, geom, lam):
     """This thread's slice rows for `draw` (at most one slice), its float
     scratch rows holding interference, head, tail, P_su1, gamma1 and gamma2
-    under the optimal power, in order; the last float row is left free."""
+    under the optimal power, in order; the next float row is left free, and
+    the gain row after it is only read."""
     rows = _slice_rows(draw.h2.size)
-    cci, head, tail, p_su1, gamma1, gamma2, _ = rows[2]
+    cci, head, tail, p_su1, gamma1, gamma2, *_ = rows[2]
     _interference(draw, geom, cfg, out=(cci, head))
     _gamma1(draw, geom, out=gamma1)
     _power_terms(draw, geom, cfg, lam, cci, out=(head, tail))
@@ -282,7 +319,7 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
     thread's result rows (`_slice_rows`), valid until the next slice.
     `draw` is at most one slice (SLICE_DRAWS draws) long: the thread keeps
     its slice rows at the longest length it has been given."""
-    crit, exact, (cci, head, tail, p_su1, gamma1, gamma2, _), (m1, m2) = _bs_slice(
+    crit, exact, (cci, head, tail, p_su1, gamma1, gamma2, *_), (m1, m2) = _bs_slice(
         draw, cfg, geom, lam)
     check_gamma2_routes(draw, geom, cfg, lam, gamma2)
     band = _CRIT_BAND
@@ -331,16 +368,17 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
     return crit, exact
 
 
-def _outage_block(draw, configs, geom, lam, gamma_th, side, slice_draws):
+def _outage_block(draw, configs, geom, lam, gamma_th, side, slice_draws, rng=None):
     """n_out and n_counted at each PowerConfig of `configs`, interleaved in
     one row, for the unit-mean `draw`, counted over its slices of at most
-    `slice_draws` draws. One comparison with each draw's critical gamma_bar
+    `slice_draws` draws; a draw without w2 has each slice's w2 drawn from
+    `rng` (`_slices`). One comparison with each draw's critical gamma_bar
     decides the draw, except the exact draws and those within _CRIT_BAND of
     their critical value, which take the exact per-point path. Every slice
     temporary lives in this thread's slice rows."""
     unit = replace(configs[0], gamma_bar_db=0.0)
     row = [0] * (2 * len(configs))
-    for piece in _slices(draw, slice_draws):
+    for piece in _slices(draw, slice_draws, rng, "w2"):
         crit, exact = _critical(piece, unit, geom, lam, gamma_th, side)
         _, _, (lo, hi, *_), (m1, m2) = _slice_rows(piece.h2.size)  # scratch from here on
         np.multiply(crit, 1.0 - _CRIT_BAND, out=lo)
@@ -486,22 +524,23 @@ def su_outage_closed_form(gamma_th: float, geom: ScenarioGeometry, cfg: PowerCon
     return float(cdf)
 
 
-def _rate_block(draw, cfg, geom, lam, slice_draws):
+def _rate_block(draw, cfg, geom, lam, slice_draws, rng=None):
     """Under the optimal and then the fixed power: the sum and the sum of
     squares of log2(1 + gamma2), the sum of 0.5 log2(1 + gamma_bs1), and the
-    count of draws where both are finite. It overwrites `draw`. Each slice's
-    BS terms come from `_bs_slice`, the fixed gamma2 into its free row; then
-    the optimal policy packs its two terms of the counted draws at
-    [m, m + counted) of h2 and u2 and the fixed one into v2 and f2, where m
+    count of draws where both are finite. It overwrites `draw`; a draw
+    without v2 has each slice's v2 drawn from `rng` (`_slices`). Each
+    slice's BS terms come from `_bs_slice`, the fixed gamma2 into its free
+    row; then the optimal policy packs its two terms of the counted draws at
+    [m, m + counted) of h2 and u2 and the fixed one into g2 and f2, where m
     never exceeds the slice's start: into gains already read. Each sum runs
     over the same array as on the whole block, so the result does not depend
     on `slice_draws`."""
     draw = _at_mean(draw, cfg)
     p_fix = fixed_power(cfg, geom)
-    packed = ((draw.h2, draw.u2), (draw.v2, draw.f2))
+    packed = ((draw.h2, draw.u2), (draw.g2, draw.f2))
     counts = [0, 0]
-    for piece in _slices(draw, slice_draws):
-        _, valid, (cci, head, _, p_su1, gamma1, gamma2, gamma2_fix), _ = _bs_slice(
+    for piece in _slices(draw, slice_draws, rng, "v2"):
+        _, valid, (cci, head, _, p_su1, gamma1, gamma2, gamma2_fix, _), _ = _bs_slice(
             piece, cfg, geom, lam)
         _gamma2(piece, geom, p_fix, cci, out=gamma2_fix)
         for j, (gamma2, (obj, e2e)) in enumerate(zip((gamma2, gamma2_fix), packed)):
@@ -548,10 +587,11 @@ def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, sir_grid_db
     for j, policy in enumerate(("optimal", "fixed")):
         for sir_db, point in zip(sir_grid_db, sums):
             s, ss, se, n_valid = point[4 * j:4 * j + 4]
-            mean_obj = s / n_valid
-            var = max(ss / n_valid - mean_obj * mean_obj, 0.0)
+            n = n_valid or math.nan  # no finite draw (P_fix overflows): NaN estimates
+            mean_obj = s / n
+            var = max(ss / n - mean_obj * mean_obj, 0.0)
             out.append(RateEstimate(
                 sir_db=float(sir_db), policy=policy,
-                rate_objective=mean_obj, rate_endtoend=se / n_valid,
-                ci_halfwidth=1.96 * math.sqrt(var / n_valid), trials=n_valid))
+                rate_objective=mean_obj, rate_endtoend=se / n,
+                ci_halfwidth=1.96 * math.sqrt(var / n), trials=n_valid))
     return out

@@ -125,6 +125,10 @@ class FadingRealization:
     w2: np.ndarray
 
 
+# the draw order of sample_fading, part of its contract
+_GAINS = ("h2", "g2", "f2", "u2", "v2", "w2")
+
+
 def sample_fading(rng: np.random.Generator, cfg: PowerConfig, size=None,
                   w2=True, out=None) -> FadingRealization:
     """Draw channel power gains. Deterministic for a given generator state;
@@ -132,21 +136,34 @@ def sample_fading(rng: np.random.Generator, cfg: PowerConfig, size=None,
     with `w2` false the last draw is skipped (w2 is None) and every other
     gain keeps its bits.
 
-    With `out`, a sequence of at least six (five without w2) float64 arrays
-    of shape `size`, gain i is drawn into out[i] and returned as that array;
-    nothing is allocated. Each gain is a unit-mean exponential draw,
-    then h2, g2, f2 are scaled by gamma_bar in place. Generator.exponential(s)
-    is s times the standard exponential draw per element, so the bits equal
-    rng.exponential(gamma_bar, size) either way."""
+    With `out`, a sequence of float64 arrays of shape `size`, gain i is
+    drawn into out[i] and returned as that array; nothing is allocated.
+    The gains past the last row of `out` are not drawn and are None. The
+    draw order continues across calls: the generator fills an array element
+    by element, so drawing those gains afterwards from the same generator,
+    in order (`_sample_gain`), even piece by piece over consecutive slices,
+    gives the bits this call would have given them. Each gain is a
+    unit-mean exponential draw, then h2, g2, f2 are scaled by gamma_bar in
+    place. Generator.exponential(s) is s times the standard exponential
+    draw per element, so the bits equal rng.exponential(gamma_bar, size)
+    either way."""
+    count = 6 if w2 else 5
+    if out is not None:
+        count = min(count, len(out))
+    gains = [_sample_gain(rng, cfg, name, size, None if out is None else out[i])
+             for i, name in enumerate(_GAINS[:count])]
+    return FadingRealization(*gains, *[None] * (6 - count))
+
+
+def _sample_gain(rng, cfg, name, size=None, out=None):
+    """Gain `name` of a `sample_fading` draw, into the row `out` if given:
+    a unit-mean exponential draw, scaled in place by gamma_bar for h2, g2
+    and f2."""
+    gain = rng.standard_exponential(size, out=out)
     gbar = cfg.gamma_bar_lin
-    gains = []
-    for i in range(6 if w2 else 5):
-        row = None if out is None else out[i]
-        gain = rng.standard_exponential(size, out=row)
-        if i < 3 and gbar != 1.0:
-            gain = np.multiply(gain, gbar, out=row)
-        gains.append(gain)
-    return FadingRealization(*gains, *([] if w2 else [None]))
+    if name in _GAINS[:3] and gbar != 1.0:
+        gain = np.multiply(gain, gbar, out=out)
+    return gain
 
 
 def dist_v3(x, geom: ScenarioGeometry):

@@ -73,6 +73,8 @@ _INT_MINIMA = {"trials": 1, "seed": 0, "workers": 1}
 _TRIAL_FLOORS = {"outage-bs": OUTAGE_MIN_TRIALS, "outage-su": OUTAGE_MIN_TRIALS,
                  "rate": RATE_MIN_TRIALS}
 _MAX_GRID_POINTS = 10_000
+# the scalar keys given in dB; _parse_grid checks sir_grid_db's points
+_DB_KEYS = ("w_db", "cci_db", "gamma_bar_db")
 # the placement keys each ScenarioGeometry field is computed from
 _PLACEMENT_KEYS = {
     "s": ("pu1_x",), "l": ("su1_x", "pu1_x"), "z": ("pu4_offset",), "d": ("bs2_x", "su1_x"),
@@ -124,6 +126,8 @@ def _parse_grid(text, key, where):
         raise ConfigError(f"{where}: {key} produced an empty grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{where}: {key} must be strictly increasing, got {text!r}")
+    for v in (grid[0], grid[-1]):  # the linear value is monotone in the point
+        _check_db(key, v, where)
     return grid
 
 
@@ -163,6 +167,20 @@ def _check_finite(key, value, where):
     return value
 
 
+def _check_db(key, value, where):
+    """ConfigError naming `key` and `where` it was given unless the linear
+    value 10^(value/10) of the dB `value` is a finite, positive normal float,
+    which holds from about -3076.5 to 3082.5 dB."""
+    try:
+        lin = 10.0 ** (value / 10.0)
+    except OverflowError:
+        lin = math.inf
+    if not sys.float_info.min <= lin < math.inf:
+        raise ConfigError(f"{where}: {key} must lie between about -3076.5 and 3082.5 dB "
+                          f"(its linear value must be a finite, positive normal float), "
+                          f"got {value:g}")
+
+
 def _check_int(key, text, value, where):
     """`text` (read as `value`) as an int; ConfigError naming `key` and `where`
     it was given unless it is a whole number of at least _INT_MINIMA[key]."""
@@ -191,6 +209,8 @@ def _build_config(given):
                      else _check_finite(key, value, where))
         if key == "gamma_th" and value < 0:
             raise ConfigError(f"{where}: gamma_th must be >= 0, got {text}")
+        if key in _DB_KEYS:
+            _check_db(key, value, where)
     geom = _geometry_from_placement(vals, given)
     power = PowerConfig(p_cci_db=vals["cci_db"], w_db=vals["w_db"],
                         gamma_bar_db=vals["gamma_bar_db"])

@@ -233,7 +233,7 @@ def _power_terms(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConf
     if cci is None:
         cci = _interference(draw, geom, cfg)
     head, tail = out
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         head = np.divide(lam, np.multiply(geom.d ** -e, np.asarray(draw.f2, dtype=float),
                                           out=head), out=head)
         tail = np.divide(cci, np.multiply(geom.l ** -e, np.asarray(draw.g2, dtype=float),

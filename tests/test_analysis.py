@@ -465,26 +465,85 @@ def test_rate_block_allocates_no_bs_term_arrays(default_geom, default_cfg, solve
     assert peak < SLICE_DRAWS * 8, peak
 
 
-def test_rate_block_touches_only_its_gain_rows(default_geom, default_cfg, solved):
-    # a rate block packs both policies' terms into the five gain rows it has
-    # read, so the workspace rows past them keep their NaN sentinels
-    task = (_rate_block, (default_cfg, default_geom, solved, SLICE_DRAWS), 5, 0, BLOCK_SIZE,
-            False)
-    want = _run_block(task)
+def _block_rows_written(task):
+    """block_fn's row for `task`, run in a fresh thread whose workspace holds
+    one NaN-filled row more than a block uses, and whether each row has
+    been written (holds no NaN) or left untouched (all NaN)."""
     got = []
 
     def run():
-        curelay.analysis._scratch.rows = _fresh_workspace(BLOCK_SIZE)
+        curelay.analysis._scratch.rows = [np.full(BLOCK_SIZE, np.nan)
+                                          for _ in range(curelay.analysis._WORKSPACE_ROWS + 1)]
         got.append(_run_block(task))
-        got.append(curelay.analysis._scratch.rows[5:])
+        nan = [np.isnan(r) for r in curelay.analysis._scratch.rows]
+        assert all(m.all() or not m.any() for m in nan)
+        got.append([not m.any() for m in nan])
 
     thread = threading.Thread(target=run)
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
-    row, spare = got
-    assert row == want
-    assert spare and all(np.isnan(r).all() for r in spare)
+    return got
+
+
+def test_rate_block_touches_only_its_gain_rows(default_geom, default_cfg, solved):
+    # a rate block draws h2, g2, f2 and u2 into rows 0-3 (v2 slice by slice)
+    # and packs both policies' terms into them, so rows 4 and up keep their
+    # NaN sentinels
+    task = (_rate_block, (default_cfg, default_geom, solved, SLICE_DRAWS), 5, 0, BLOCK_SIZE,
+            False)
+    row, written = _block_rows_written(task)
+    assert row == _run_block(task)
+    assert written == [True] * 4 + [False] * 2
+
+
+@pytest.mark.parametrize("side", ["bs", "su"])
+def test_outage_block_touches_only_its_gain_rows(default_geom, default_cfg, solved, side):
+    # an outage block draws h2 to v2 into rows 0-4 and w2 slice by slice
+    configs = [replace(default_cfg, gamma_bar_db=g) for g in (0.0, 20.0)]
+    task = (_outage_block, (configs, default_geom, solved, 3.0, side, SLICE_DRAWS), 5, 0,
+            BLOCK_SIZE, True)
+    row, written = _block_rows_written(task)
+    assert row == _run_block(task)
+    assert written == [True] * 5 + [False]
+
+
+@pytest.mark.parametrize("w2", [True, False])
+def test_last_gain_drawn_per_slice_keeps_its_bits(w2):
+    # a block drawn without its last gain, whose slices then draw it from
+    # the same generator in order, holds the bits of one whole-block draw,
+    # also where the block is no multiple of the slice; a draw that carries
+    # the gain is sliced as it is, drawing nothing
+    last = "w2" if w2 else "v2"
+    names = ("h2", "g2", "f2", "u2", "v2", "w2")[:5 + w2]
+    for size, n in ((1, 50), (7, 50), (SLICE_DRAWS, 2 * SLICE_DRAWS + 300)):
+        want = sample_fading(np.random.default_rng([8, 3]), _UNIT_MEAN, n, w2=w2)
+        rng = np.random.default_rng([8, 3])
+        block = sample_fading(rng, _UNIT_MEAN, n, w2=w2,
+                              out=[np.empty(n) for _ in range(4 + w2)])
+        assert getattr(block, last) is None
+        pieces = [{name: getattr(piece, name).copy() for name in names}
+                  for piece in _slices(block, size, rng, last)]
+        for name in names:
+            got = np.concatenate([piece[name] for piece in pieces])
+            assert got.tobytes() == getattr(want, name).tobytes(), (size, name)
+        state = rng.bit_generator.state
+        for piece in _slices(want, size, rng, last):
+            assert getattr(piece, last).base is getattr(want, last), size
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [10_001, SLICE_DRAWS + 300])
+def test_run_block_equals_block_on_whole_draw(default_geom, default_cfg, solved, n):
+    # a block shorter than a slice and one with a remainder slice give the
+    # row of the block function on one whole-block draw
+    configs = [replace(default_cfg, gamma_bar_db=g) for g in (0.0, 20.0, 40.0)]
+    for block_fn, args, w2 in (
+            (_outage_block, (configs, default_geom, solved, 3.0, "bs", SLICE_DRAWS), True),
+            (_outage_block, (configs, default_geom, solved, 0.5, "su", SLICE_DRAWS), True),
+            (_rate_block, (configs[1], default_geom, solved, SLICE_DRAWS), False)):
+        draw = sample_fading(np.random.default_rng([21, 4]), _UNIT_MEAN, n, w2=w2)
+        assert _run_block((block_fn, args, 21, 4, n, w2)) == block_fn(draw, *args), block_fn
 
 
 def test_outage_ci_definition(default_geom, default_cfg, solved):
@@ -707,6 +766,16 @@ FROZEN_RATES = [
 
 
 RATE_KW = dict(sir_grid_db=(10.0, 25.0), trials=100_000, seed=31, block_size=30_000)
+
+
+def test_rate_without_a_finite_draw_gives_nan_estimates(default_geom, default_cfg, solved):
+    # at gamma_bar = -3076 dB the fixed power W/(d^-eps gamma_bar) overflows,
+    # so no draw has a finite fixed gamma2: NaN estimates over 0 trials
+    optimal, fixed = rate_curve(default_geom, default_cfg, solved, [-3076.0], 100_000, seed=2)
+    assert optimal.trials > 0 and math.isfinite(optimal.rate_objective)
+    assert fixed.trials == 0
+    assert all(math.isnan(v) for v in (fixed.rate_objective, fixed.rate_endtoend,
+                                       fixed.ci_halfwidth))
 
 
 def test_rate_estimates_frozen(default_geom, default_cfg, solved):

@@ -389,6 +389,45 @@ def test_cli_rejects_bad_counts_before_any_work(tmp_path, monkeypatch, capsys, c
     assert [p.name for p in tmp_path.iterdir()] == [cfgp.name]
 
 
+DB_RANGE = "must lie between about -3076.5 and 3082.5 dB"
+
+
+@pytest.mark.parametrize("cmd, body, flags, where", [
+    ("outage-bs", FAST_BODY, ["--sir-db", "4000:1:4000"], "--sir-db: sir_grid_db"),
+    ("rate", FAST_BODY, ["--sir-db", "4000:1:4000"], "--sir-db: sir_grid_db"),
+    ("outage-bs", FAST_BODY, ["--sir-db=-4000:1:-4000"], "--sir-db: sir_grid_db"),
+    ("rate", FAST_BODY, ["--sir-db=-4000:1:-4000"], "--sir-db: sir_grid_db"),
+    ("outage-su", FAST_BODY, ["--sir-db=-4000:1:-4000"], "--sir-db: sir_grid_db"),
+    ("outage-su", FAST_BODY, ["--sir-db", "0:1000:4000"], "--sir-db: sir_grid_db"),
+    ("water-level", FAST_BODY, ["--w-db", "4000"], "--w-db: w_db"),
+    ("water-level", FAST_BODY, ["--cci-db", "4000"], "--cci-db: cci_db"),
+    ("water-level", FAST_BODY, ["--w-db=-3076.6"], "--w-db: w_db"),
+    ("outage-bs", FAST_BODY + "gamma_bar_db = 3082.6\n", [], "line 7: gamma_bar_db"),
+], ids=["bs-grid-overflow", "rate-grid-overflow", "bs-grid-underflow", "rate-grid-underflow",
+        "su-grid-underflow", "su-grid-last-point", "flag-w-overflow", "flag-cci-overflow",
+        "flag-w-subnormal", "file-gamma-bar-overflow"])
+def test_db_value_without_a_normal_linear_value_exits_2(tmp_path, monkeypatch, capsys, cmd,
+                                                         body, flags, where):
+    # a finite dB value whose linear value overflows, underflows or is
+    # subnormal is rejected at load time, naming the key; nothing is written
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config that should have been rejected")
+
+    monkeypatch.setattr(curelay.expcli, "solve_water_level", no_solve)
+    cfgp = write_cfg(tmp_path, body)
+    assert main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "o.csv"), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where} {DB_RANGE}")
+    assert [p.name for p in tmp_path.iterdir()] == [cfgp.name]
+
+
+def test_db_range_ends_are_accepted(tmp_path):
+    body = FAST_BODY.replace("w_db = 10.0", "w_db = 3082.5").replace("cci_db = 20.0",
+                                                                      "cci_db = -3076.5")
+    cfg = load_config(write_cfg(tmp_path, body.replace("0:20:40", "-3076.5:2:3082.5")))
+    assert (cfg.power.w_db, cfg.power.p_cci_db) == (3082.5, -3076.5)
+    assert (cfg.sir_grid_db[0], cfg.sir_grid_db[-1]) == (-3076.5, 3081.5)
+
+
 @pytest.mark.parametrize("flag, key, bad", [
     ("--w-db", "w_db", "nan"),
     ("--cci-db", "cci_db", "soon"),
