@@ -1,46 +1,46 @@
 """Outage probability (Monte-Carlo and analytic bounds), the SU-side
 upper-bound distribution in closed form, and achievable-rate curves.
 
-Monte-Carlo runs split the trials into fixed-size blocks. A sweep is a list
-of groups, each one argument tuple for the block function: block i of group
-k draws unit-mean gains from a generator seeded by (seed, k * 1,000,000 + i),
-and the block function turns that whole block and the group's arguments into
-one flat row of sums. Scaling h2, g2, f2 by a point's gamma_bar is bitwise
-what sampling at that mean gives. An `outage_mc` sweep is one group, so
-every point reuses the draws of blocks (seed, i); a `rate_curve` point is a
-group of its own, whose block scales its draw in place and skips w2, which
-no rate term reads, and evaluates the optimal and the fixed power on that
-point's draws. Every block function slices its own block into `SLICE_DRAWS`
-draws, which keeps the elementwise working set in cache: an outage block
-adds the slices' integer counts, while a rate block packs the per-draw terms
-of each slice's counted draws into block-length rows and forms its
-floating-point sums over the whole packed rows, so the slice length never
-moves a bit. Each call runs all its blocks through one process pool and sums
-each group's rows in block order, so results are bit-identical for any
-worker count. The pool module (`concurrent.futures`, and `multiprocessing`
-behind it) is imported when a sweep first starts a pool, through the module
-`__getattr__`, so importing the package loads neither.
+Monte-Carlo runs split the trials into blocks of `BLOCK_SIZE` draws, fixed
+by the determinism contract. A sweep is a list of groups, each one argument
+tuple for the block function: block i of group k draws unit-mean gains from
+a generator seeded by (seed, k * 1,000,000 + i), and the block function
+turns that whole block and the group's arguments into one flat row of sums;
+`_at_mean` puts a draw at a point's gamma_bar. An `outage_mc` sweep is one
+group, so every point reuses the draws of blocks (seed, i); a `rate_curve`
+point is a group of its own, whose block scales its draw in place and skips
+w2, which no rate term reads, and evaluates the optimal and the fixed power
+on that point's draws. Every block function slices its own block into
+`SLICE_DRAWS` draws, which keeps the elementwise working set in cache: an
+outage block adds the slices' integer counts, while a rate block packs the
+per-draw terms of each slice's counted draws into block-length rows and
+forms its floating-point sums over the whole packed rows, so the slice
+length never moves a bit. Each call runs all its blocks through one process
+pool and sums each group's rows in block order, so results are bit-identical
+for any worker count. The pool module (`concurrent.futures`, and
+`multiprocessing` behind it) is imported when a sweep first starts a pool,
+through the module `__getattr__`, so importing the package loads neither.
 
 A block does not allocate its block-length arrays: each process (each thread
 of it) keeps one workspace of five float64 rows (`_workspace`), and every
 block it runs, in a pool worker every task too, draws every gain but its
-last into them: h2 to v2 for an outage block, h2 to u2 (rows 0-3) for a
-rate block. The block function's slices then draw the last gain, w2 or v2,
-from the block's generator in order, each into one slice row; the generator
-fills an array element by element, so the bits are those of one draw over
-the whole block. A rate block packs its terms into the gain rows it has
-already read, so it touches only rows 0-3. Each process also holds nine
-slice-length float64 rows and three bool rows (`_slice_rows`): `_bs_slice`
-writes a slice's optimal-power BS terms there for both sweeps, through the
-`out=` rows of the helpers that hold each formula, the last float row holds
-the slice's last gain, and the outage counting and a rate slice's fixed
-gamma2, gamma_bs1 and validity mask use the rest. An outage slice allocates
-only the dual-route check's two arrays of its length, a rate slice nothing
-of its length. A shorter last block or slice uses the leading elements of
-each row. The rows are scratch, not a cache: every user writes an element
-before it reads it, so its result is the same as with fresh arrays, and
-only the page faults of fresh memory (about 8 MB a rate block, thousands of
-faults an outage block) are saved.
+last into them: h2 to v2 for an outage block, h2 to u2 (rows 0-3) for a rate
+block. The block function's slices then draw the gain the block lacks, w2 or
+v2 (`_slices`), from the block's generator in order, each into one slice
+row; the generator fills an array element by element, so the bits are those
+of one draw over the whole block. A rate block packs its terms into the gain
+rows it has already read, so it touches only rows 0-3. Each process also
+holds nine slice-length float64 rows and three bool rows (`_slice_rows`):
+`_bs_slice` writes a slice's optimal-power BS terms there for both sweeps,
+through the `out=` rows of the helpers that hold each formula, the last
+float row holds the slice's last gain, and the outage counting and a rate
+slice's fixed gamma2, gamma_bs1 and validity mask use the rest. An outage
+slice allocates only the dual-route check's two arrays of its length, a rate
+slice nothing of its length. A shorter last block or slice uses the leading
+elements of each row. The rows are scratch, not a cache: every user writes
+an element before it reads it, so its result is the same as with fresh
+arrays, and only the page faults of fresh memory (about 8 MB a rate block,
+thousands of faults an outage block) are saved.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
@@ -77,7 +77,7 @@ from .channels import (
     FadingRealization,
     PowerConfig,
     ScenarioGeometry,
-    _sample_gain,
+    _at_mean,
     derive_etas,
     dist_gamma_ratio,
     dist_t,
@@ -171,26 +171,20 @@ def _select(draw, index):
     return FadingRealization(*(None if a is None else a[index] for a in gains))
 
 
-def _slices(draw, size, rng=None, last=None):
-    """Consecutive slices of at most `size` draws of `draw`. Where `draw`
-    lacks its gain `last` (None), each slice draws it from `rng`, in order,
-    into this thread's slice gain row (`_slice_rows`), valid until the next
-    slice: the bits one draw over the whole block gives (`sample_fading`).
-    A draw that carries `last` is sliced as it is."""
+def _slices(draw, size, rng=None):
+    """Consecutive slices of at most `size` draws of the unit-mean `draw`.
+    Given a generator, each slice draws the first gain `draw` lacks from it,
+    in order, into this thread's slice gain row (`_slice_rows`), valid until
+    the next slice: the bits one draw over the whole block gives
+    (`sample_fading`). A draw that lacks none is sliced as it is."""
+    lacking = [f.name for f in fields(draw) if getattr(draw, f.name) is None]
     for lo in range(0, draw.h2.size, size):
         piece = _select(draw, slice(lo, lo + size))
-        if last is not None and getattr(piece, last) is None:
+        if rng is not None and lacking:
             n = piece.h2.size
-            gain = _sample_gain(rng, _UNIT_MEAN, last, n, out=_slice_rows(n)[2][-1])
-            piece = replace(piece, **{last: gain})
+            gain = rng.standard_exponential(n, out=_slice_rows(n)[2][-1])
+            piece = replace(piece, **{lacking[0]: gain})
         yield piece
-
-
-def _at_mean(draw, cfg):
-    """A unit-mean `draw` at cfg's gamma_bar: h2, g2, f2 scaled in place
-    (bitwise what sampling at that mean gives)."""
-    h2, g2, f2 = (np.multiply(a, cfg.gamma_bar_lin, out=a) for a in (draw.h2, draw.g2, draw.f2))
-    return replace(draw, h2=h2, g2=g2, f2=f2)
 
 
 # Workspace rows (module docstring), one set per thread, so sweeps run from
@@ -241,12 +235,12 @@ def _slice_rows(n):
 
 
 def _run_block(task):
-    """block_fn's row for one block: every gain but the last (w2, or v2
-    without w2) is drawn into this thread's workspace rows, and the
-    generator is handed on for block_fn's slices to draw the last one."""
+    """block_fn's row for one block: every gain but the last block_fn reads
+    (w2 with `w2`, else v2) is drawn into this thread's workspace rows, and
+    block_fn's slices draw that one from the generator (`_slices`)."""
     block_fn, args, seed, stream, n, w2 = task
     rng = np.random.default_rng([seed, stream])
-    draw = sample_fading(rng, _UNIT_MEAN, n, w2=w2, out=_workspace(n)[:4 + w2])
+    draw = sample_fading(rng, _UNIT_MEAN, n, out=_workspace(n)[:4 + w2])
     return block_fn(draw, *args, rng=rng)
 
 
@@ -262,15 +256,15 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _sweep(block_fn, groups, trials, seed, workers, block_size, w2=True):
+def _sweep(block_fn, groups, trials, seed, workers, w2=True):
     """Per argument tuple of `groups`, in order, the column sums of the rows
-    block_fn(draw, *args) returns for the group's unit-mean blocks, over
-    `trials` draws in the block layout of the module docstring. With `w2`
-    false the blocks are drawn without w2, for a block_fn that never reads it.
-    A pool forks all its processes at its first task, so it gets no more
-    than `workers`, the CPUs or the tasks."""
-    n_full, rem = divmod(trials, block_size)
-    sizes = [block_size] * n_full + ([rem] if rem else [])
+    block_fn(draw, *args, rng=rng) returns for the group's unit-mean blocks
+    of `BLOCK_SIZE` over `trials` draws (module docstring). `w2` says whether
+    block_fn reads w2, else its last gain is v2. A pool forks all its
+    processes at its first task, so it gets no more than `workers`, the CPUs
+    or the tasks."""
+    n_full, rem = divmod(trials, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * n_full + ([rem] if rem else [])
     tasks = [(block_fn, args, seed, k * 1_000_000 + i, n, w2)
              for k, args in enumerate(groups) for i, n in enumerate(sizes)]
     if workers <= 1 or not tasks:
@@ -371,14 +365,14 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
 def _outage_block(draw, configs, geom, lam, gamma_th, side, slice_draws, rng=None):
     """n_out and n_counted at each PowerConfig of `configs`, interleaved in
     one row, for the unit-mean `draw`, counted over its slices of at most
-    `slice_draws` draws; a draw without w2 has each slice's w2 drawn from
-    `rng` (`_slices`). One comparison with each draw's critical gamma_bar
+    `slice_draws` draws, which draw the gain `draw` lacks from `rng`
+    (`_slices`). One comparison with each draw's critical gamma_bar
     decides the draw, except the exact draws and those within _CRIT_BAND of
     their critical value, which take the exact per-point path. Every slice
     temporary lives in this thread's slice rows."""
     unit = replace(configs[0], gamma_bar_db=0.0)
     row = [0] * (2 * len(configs))
-    for piece in _slices(draw, slice_draws, rng, "w2"):
+    for piece in _slices(draw, slice_draws, rng):
         crit, exact = _critical(piece, unit, geom, lam, gamma_th, side)
         _, _, (lo, hi, *_), (m1, m2) = _slice_rows(piece.h2.size)  # scratch from here on
         np.multiply(crit, 1.0 - _CRIT_BAND, out=lo)
@@ -402,8 +396,8 @@ def _outage_block(draw, configs, geom, lam, gamma_th, side, slice_draws, rng=Non
 
 
 def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: float,
-              side: str, sir_grid_db, trials: int, seed: int, workers: int = 1,
-              block_size: int = BLOCK_SIZE) -> list[OutageEstimate]:
+              side: str, sir_grid_db, trials: int, seed: int,
+              workers: int = 1) -> list[OutageEstimate]:
     """Monte-Carlo outage probability P(gamma_side < gamma_th) at each
     average SIR of `sir_grid_db` (cfg with gamma_bar_db replaced).
 
@@ -427,7 +421,7 @@ def outage_mc(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, gamma_th: fl
     if not configs:
         return []
     (row,) = _sweep(_outage_block, [(configs, geom, lam, gamma_th, side, SLICE_DRAWS)],
-                    trials, seed, workers, block_size)
+                    trials, seed, workers)
     out = []
     for point, n_out, n_counted in zip(configs, row[0::2], row[1::2]):
         p_out = n_out / n_counted if n_counted else math.nan
@@ -458,7 +452,8 @@ def outage_bs_bounds(gamma_th: float, geom: ScenarioGeometry, cfg: PowerConfig,
     """Order-statistics bounds on the BS outage probability.
 
     lower = F1(g) + F2(g) - F1(g) F2(g) evaluated at g = gamma_th,
-    upper = the same expression at 2 gamma_th.
+    upper = the same expression at 2 gamma_th, raised to lower where
+    rounding puts it an ulp below (where F1 rounds to 1 at both).
     """
     if gamma_th < 0:
         raise ValueError("gamma_th must be >= 0")
@@ -468,7 +463,7 @@ def outage_bs_bounds(gamma_th: float, geom: ScenarioGeometry, cfg: PowerConfig,
     g = np.array([gamma_th, 2.0 * gamma_th])
     _, f1 = dist_gamma_ratio(g, et.eta1, cfg.gamma_bar_lin)
     f2 = _gamma2_cdf(g, geom, lam, cfg.p_cci_lin)
-    lower, upper = (f1 + f2 - f1 * f2).tolist()
+    lower, upper = np.maximum.accumulate(f1 + f2 - f1 * f2).tolist()
     return lower, upper
 
 
@@ -484,12 +479,16 @@ def dist_su_upper(x, geom: ScenarioGeometry, cfg: PowerConfig):
     small x stays numerically exact, and since the two pdf terms there
     cancel to a part in e/x, the pdf takes the equal form
         (b2 b3 / z^2) [(1/(x+e2) + 1/(x+e3))(1 + w) - (w/x)(4 + 2 b2 b3 ln(w) / z)],
-    whose terms do not. No intermediate overflows at any finite x.
+    whose terms do not. No intermediate overflows at any finite x. Where
+    e2 or e3 overflows, its b is 1 and the law is the other ratio's,
+    x/(x + e) (`dist_gamma_ratio`).
     """
     arr = _require_pos(x, "dist_su_upper")
     et = derive_etas(geom)
     e2 = et.eta2 * cfg.gamma_bar_lin
     e3 = et.eta3 * cfg.gamma_bar_lin
+    if max(e2, e3) == np.inf:
+        return dist_gamma_ratio(arr, min(e2, e3), 1.0)
     x = np.atleast_1d(arr)
     b2, b3 = e2 / (x + e2), e3 / (x + e3)
     bb = b2 * b3
@@ -527,8 +526,8 @@ def su_outage_closed_form(gamma_th: float, geom: ScenarioGeometry, cfg: PowerCon
 def _rate_block(draw, cfg, geom, lam, slice_draws, rng=None):
     """Under the optimal and then the fixed power: the sum and the sum of
     squares of log2(1 + gamma2), the sum of 0.5 log2(1 + gamma_bs1), and the
-    count of draws where both are finite. It overwrites `draw`; a draw
-    without v2 has each slice's v2 drawn from `rng` (`_slices`). Each
+    count of draws where both are finite. It overwrites `draw`, whose
+    slices draw the gain it lacks from `rng` (`_slices`). Each
     slice's BS terms come from `_bs_slice`, the fixed gamma2 into its free
     row; then the optimal policy packs its two terms of the counted draws at
     [m, m + counted) of h2 and u2 and the fixed one into g2 and f2, where m
@@ -539,7 +538,7 @@ def _rate_block(draw, cfg, geom, lam, slice_draws, rng=None):
     p_fix = fixed_power(cfg, geom)
     packed = ((draw.h2, draw.u2), (draw.g2, draw.f2))
     counts = [0, 0]
-    for piece in _slices(draw, slice_draws, rng, "v2"):
+    for piece in _slices(draw, slice_draws, rng):
         _, valid, (cci, head, _, p_su1, gamma1, gamma2, gamma2_fix, _), _ = _bs_slice(
             piece, cfg, geom, lam)
         _gamma2(piece, geom, p_fix, cci, out=gamma2_fix)
@@ -564,8 +563,7 @@ def _rate_block(draw, cfg, geom, lam, slice_draws, rng=None):
 
 
 def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, sir_grid_db,
-               trials: int, seed: int, workers: int = 1,
-               block_size: int = BLOCK_SIZE) -> list[RateEstimate]:
+               trials: int, seed: int, workers: int = 1) -> list[RateEstimate]:
     """Expected-rate sweep over the average-SIR operating points of
     `sir_grid_db` under the optimal and the fixed power policy.
 
@@ -582,7 +580,7 @@ def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, sir_grid_db
         raise ValueError("optimal policy requires a solved water level")
     configs = [replace(cfg, gamma_bar_db=float(sir_db)) for sir_db in sir_grid_db]
     sums = _sweep(_rate_block, [(c, geom, lam, SLICE_DRAWS) for c in configs],
-                  trials, seed, workers, block_size, w2=False)
+                  trials, seed, workers, w2=False)
     out = []
     for j, policy in enumerate(("optimal", "fixed")):
         for sir_db, point in zip(sir_grid_db, sums):

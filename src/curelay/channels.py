@@ -15,7 +15,7 @@ Random-variable shorthand used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,8 +113,8 @@ class FadingRealization:
     """One i.i.d. block-fading draw of the six channel power gains.
 
     h2, g2, f2 are exponential with mean gamma_bar_lin; u2, v2, w2 with
-    mean 1. Fields are scalars or equally shaped arrays; w2, read only by
-    the SU side, is None in a draw sampled without it.
+    mean 1. Fields are scalars or equally shaped arrays; gains not drawn
+    are None.
     """
 
     h2: np.ndarray
@@ -130,40 +130,34 @@ _GAINS = ("h2", "g2", "f2", "u2", "v2", "w2")
 
 
 def sample_fading(rng: np.random.Generator, cfg: PowerConfig, size=None,
-                  w2=True, out=None) -> FadingRealization:
-    """Draw channel power gains. Deterministic for a given generator state;
-    the draw order (h2, g2, f2, u2, v2, w2) is part of the contract, so
-    with `w2` false the last draw is skipped (w2 is None) and every other
-    gain keeps its bits.
+                  out=None) -> FadingRealization:
+    """Draw channel power gains: unit-mean exponentials in the order h2, g2,
+    f2, u2, v2, w2, which is part of the contract, then at cfg's gamma_bar
+    (`_at_mean`). Deterministic for a given generator state.
 
     With `out`, a sequence of float64 arrays of shape `size`, gain i is
-    drawn into out[i] and returned as that array; nothing is allocated.
-    The gains past the last row of `out` are not drawn and are None. The
-    draw order continues across calls: the generator fills an array element
-    by element, so drawing those gains afterwards from the same generator,
-    in order (`_sample_gain`), even piece by piece over consecutive slices,
-    gives the bits this call would have given them. Each gain is a
-    unit-mean exponential draw, then h2, g2, f2 are scaled by gamma_bar in
-    place. Generator.exponential(s) is s times the standard exponential
-    draw per element, so the bits equal rng.exponential(gamma_bar, size)
-    either way."""
-    count = 6 if w2 else 5
-    if out is not None:
-        count = min(count, len(out))
-    gains = [_sample_gain(rng, cfg, name, size, None if out is None else out[i])
-             for i, name in enumerate(_GAINS[:count])]
-    return FadingRealization(*gains, *[None] * (6 - count))
+    drawn into out[i] and returned as that array; nothing is allocated. Only
+    the first len(out) gains are drawn, the rest are None. The draw order
+    continues across calls: the generator fills an array element by
+    element, so drawing the remaining gains afterwards from the same
+    generator, in order, even piece by piece over consecutive slices, gives
+    the bits this call would have given them."""
+    rows = [None] * len(_GAINS) if out is None else out[:len(_GAINS)]
+    gains = [rng.standard_exponential(size, out=row) for row in rows]
+    return _at_mean(FadingRealization(*gains, *[None] * (len(_GAINS) - len(gains))), cfg)
 
 
-def _sample_gain(rng, cfg, name, size=None, out=None):
-    """Gain `name` of a `sample_fading` draw, into the row `out` if given:
-    a unit-mean exponential draw, scaled in place by gamma_bar for h2, g2
-    and f2."""
-    gain = rng.standard_exponential(size, out=out)
+def _at_mean(draw, cfg):
+    """A unit-mean `draw` at cfg's gamma_bar: h2, g2, f2, where drawn,
+    scaled by it (arrays in place); at gamma_bar 1 the draw itself.
+    Generator.exponential(s) is s times the standard exponential draw per
+    element, so the bits are those of sampling at that mean."""
     gbar = cfg.gamma_bar_lin
-    if name in _GAINS[:3] and gbar != 1.0:
-        gain = np.multiply(gain, gbar, out=out)
-    return gain
+    if gbar == 1.0:
+        return draw
+    gains = {name: getattr(draw, name) for name in _GAINS[:3]}
+    return replace(draw, **{name: np.multiply(a, gbar, out=a if np.ndim(a) else None)
+                            for name, a in gains.items() if a is not None})
 
 
 def dist_v3(x, geom: ScenarioGeometry):
@@ -217,13 +211,16 @@ def dist_gamma_ratio(x, eta, gamma_bar_lin):
     """pdf/cdf of a path-loss-scaled ratio SIR component eta * X/Y, where X
     is exponential with mean gamma_bar and Y exponential with mean 1:
     pdf = s/(x+s)^2 (s/(x+s)/(x+s) where the square overflows), cdf = x/(x+s)
-    with scale s = eta * gamma_bar; at x = inf, their limits 0 and 1."""
+    with scale s = eta * gamma_bar; at x = inf, their limits 0 and 1. Where
+    s overflows, their limits as s -> inf: 0 at every finite x."""
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     if not gamma_bar_lin > 0:
         raise ValueError(f"gamma_bar_lin must be > 0, got {gamma_bar_lin}")
     arr = _require_pos(x, "dist_gamma_ratio", zero_ok=True)
     s = eta * gamma_bar_lin
+    if s == np.inf:
+        return np.zeros_like(arr)[()], np.isinf(arr).astype(float)[()]
     t = arr + s
     with np.errstate(over="ignore", invalid="ignore"):
         pdf = np.where(np.isinf(t * t), s / t / t, s / t ** 2)[()]

@@ -152,7 +152,7 @@ def sir_sample(draw: FadingRealization, geom: ScenarioGeometry, cfg: PowerConfig
     Raises ValueError for a draw sampled without w2, which the SU side reads.
     """
     if draw.w2 is None:
-        raise ValueError("sir_sample needs w2: sample the draw with w2=True")
+        raise ValueError("sir_sample needs w2: sample all six gains of the draw")
     batch = FadingRealization(*(np.atleast_1d(np.asarray(getattr(draw, f.name), dtype=float))
                                 for f in fields(draw)))
 

@@ -84,19 +84,23 @@ def test_outage_requires_level(default_geom, default_cfg):
                   100, seed=1)
 
 
-def test_outage_deterministic_and_worker_invariant(default_geom, default_cfg, solved):
+def test_outage_deterministic_and_worker_invariant(monkeypatch, default_geom, default_cfg,
+                                                  solved):
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 25_000)
     a = outage_mc(default_geom, default_cfg, solved, 3.0, "bs", [default_cfg.gamma_bar_db],
-                  120_000, seed=5, workers=1, block_size=25_000)[0]
+                  120_000, seed=5, workers=1)[0]
     b = outage_mc(default_geom, default_cfg, solved, 3.0, "bs", [default_cfg.gamma_bar_db],
-                  120_000, seed=5, workers=3, block_size=25_000)[0]
+                  120_000, seed=5, workers=3)[0]
     assert a == b
 
 
 @pytest.mark.parametrize("side", ["bs", "su"])
-def test_outage_grid_equals_one_point_calls(default_geom, default_cfg, solved, side):
+def test_outage_grid_equals_one_point_calls(monkeypatch, default_geom, default_cfg, solved,
+                                            side):
     # 100_000 = 3 x 30_000 + a 10_000 remainder block
     grid = (10.0, 20.0, 30.0)
-    kw = dict(trials=100_000, seed=21, block_size=30_000)
+    kw = dict(trials=100_000, seed=21)
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 30_000)
     singles = [outage_mc(default_geom, default_cfg, solved, 3.0, side, [g], **kw)[0]
                for g in grid]
     for workers in (1, 2):
@@ -110,7 +114,8 @@ def test_outage_slices_leave_estimates_unchanged(monkeypatch, default_geom, defa
                                                  solved, side):
     # blocks of 30_000 and 10_000 cut into slices of 7_000 with remainders
     grid = (10.0, 20.0, 30.0)
-    kw = dict(trials=100_000, seed=21, block_size=30_000)
+    kw = dict(trials=100_000, seed=21)
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 30_000)
     monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 30_000)
     whole = outage_mc(default_geom, default_cfg, solved, 3.0, side, grid, **kw)
     monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 7_000)
@@ -140,8 +145,8 @@ def test_dual_route_check_sees_every_draw_of_every_point(monkeypatch, default_ge
     monkeypatch.setattr(curelay.relaying, "check_gamma2_routes", counting)
     monkeypatch.setattr(curelay.analysis, "_outage_point", recording)
     monkeypatch.setattr(curelay.analysis, "_CRIT_BAND", 0.05)
-    outage_mc(default_geom, default_cfg, solved, 3.0, side, [10.0, 20.0], 25_000, seed=2,
-              block_size=10_000)
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 10_000)
+    outage_mc(default_geom, default_cfg, solved, 3.0, side, [10.0, 20.0], 25_000, seed=2)
     assert sorted(n for g, n in seen if g == 0.0) == [5_000, 10_000, 10_000]
     assert sorted((g, n) for g, n in seen if g != 0.0) == sorted(guarded)
     assert {g for g, _ in guarded} == {10.0, 20.0}
@@ -298,8 +303,9 @@ def test_outage_all_exact_equals_fast_path(monkeypatch, default_geom, default_cf
                                            side):
     # an infinitely wide guard sends every draw of every point down the exact path
     grid = (-10.0, 5.0, 20.0, 35.0, 50.0)
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 30_000)
     for gamma_th in (0.5, 3.0, 1e3):
-        kw = dict(trials=40_000, seed=13, block_size=30_000)
+        kw = dict(trials=40_000, seed=13)
         fast = outage_mc(default_geom, default_cfg, solved, gamma_th, side, grid, **kw)
         with monkeypatch.context() as mp:
             mp.setattr(curelay.analysis, "_CRIT_BAND", math.inf)
@@ -513,22 +519,21 @@ def test_last_gain_drawn_per_slice_keeps_its_bits(w2):
     # a block drawn without its last gain, whose slices then draw it from
     # the same generator in order, holds the bits of one whole-block draw,
     # also where the block is no multiple of the slice; a draw that carries
-    # the gain is sliced as it is, drawing nothing
+    # every gain is sliced as it is, drawing nothing
     last = "w2" if w2 else "v2"
     names = ("h2", "g2", "f2", "u2", "v2", "w2")[:5 + w2]
     for size, n in ((1, 50), (7, 50), (SLICE_DRAWS, 2 * SLICE_DRAWS + 300)):
-        want = sample_fading(np.random.default_rng([8, 3]), _UNIT_MEAN, n, w2=w2)
+        want = sample_fading(np.random.default_rng([8, 3]), _UNIT_MEAN, n)
         rng = np.random.default_rng([8, 3])
-        block = sample_fading(rng, _UNIT_MEAN, n, w2=w2,
-                              out=[np.empty(n) for _ in range(4 + w2)])
+        block = sample_fading(rng, _UNIT_MEAN, n, out=[np.empty(n) for _ in range(4 + w2)])
         assert getattr(block, last) is None
         pieces = [{name: getattr(piece, name).copy() for name in names}
-                  for piece in _slices(block, size, rng, last)]
+                  for piece in _slices(block, size, rng)]
         for name in names:
             got = np.concatenate([piece[name] for piece in pieces])
             assert got.tobytes() == getattr(want, name).tobytes(), (size, name)
         state = rng.bit_generator.state
-        for piece in _slices(want, size, rng, last):
+        for piece in _slices(want, size, rng):
             assert getattr(piece, last).base is getattr(want, last), size
         assert rng.bit_generator.state == state
 
@@ -542,7 +547,7 @@ def test_run_block_equals_block_on_whole_draw(default_geom, default_cfg, solved,
             (_outage_block, (configs, default_geom, solved, 3.0, "bs", SLICE_DRAWS), True),
             (_outage_block, (configs, default_geom, solved, 0.5, "su", SLICE_DRAWS), True),
             (_rate_block, (configs[1], default_geom, solved, SLICE_DRAWS), False)):
-        draw = sample_fading(np.random.default_rng([21, 4]), _UNIT_MEAN, n, w2=w2)
+        draw = sample_fading(np.random.default_rng([21, 4]), _UNIT_MEAN, n)
         assert _run_block((block_fn, args, 21, 4, n, w2)) == block_fn(draw, *args), block_fn
 
 
@@ -559,6 +564,27 @@ def test_outage_bs_within_bounds(default_geom, default_cfg, solved):
                     200_000, seed=3)[0]
     assert est.lower_bound - 3 * est.ci_halfwidth <= est.p_out
     assert est.p_out <= est.upper_bound + 3 * est.ci_halfwidth
+
+
+def test_analytic_bounds_hold_at_the_top_of_the_db_range(default_geom, default_cfg, solved):
+    # eta1 gamma_bar overflows from about 3073.69 dB and eta2 gamma_bar from
+    # about 3074.38 dB: the BS bounds tend to F_gamma2 and the SU bound to the
+    # gamma4 law x/(x + eta3 gamma_bar), without a warning or a NaN
+    grid = (3073.6, 3073.8, 3074.5, 3080.0, 3082.5)
+    eta3 = derive_etas(default_geom).eta3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ests = outage_mc(default_geom, default_cfg, solved, 3.0, "bs", grid, 100_000, seed=1)
+        for est in ests:
+            assert 0.0 <= est.lower_bound <= est.upper_bound <= 1.0, est
+            assert est.lower_bound <= est.p_out + 3 * est.ci_halfwidth, est
+        for gamma_bar_db in grid:
+            cfg = replace(default_cfg, gamma_bar_db=gamma_bar_db)
+            for gamma_th in (0.5, 3.0, 1e3):
+                su = su_outage_closed_form(gamma_th, default_geom, cfg)
+                gamma4 = gamma_th / (gamma_th + eta3 * cfg.gamma_bar_lin)
+                assert math.isfinite(su), (gamma_bar_db, gamma_th)
+                assert su == pytest.approx(gamma4, rel=1e-12, abs=1e-12), (gamma_bar_db, gamma_th)
 
 
 def test_outage_monotone_in_gamma_bar(default_geom, solved):
@@ -765,7 +791,8 @@ FROZEN_RATES = [
 ]
 
 
-RATE_KW = dict(sir_grid_db=(10.0, 25.0), trials=100_000, seed=31, block_size=30_000)
+RATE_KW = dict(sir_grid_db=(10.0, 25.0), trials=100_000, seed=31)
+RATE_BLOCK = 30_000
 
 
 def test_rate_without_a_finite_draw_gives_nan_estimates(default_geom, default_cfg, solved):
@@ -778,7 +805,8 @@ def test_rate_without_a_finite_draw_gives_nan_estimates(default_geom, default_cf
                                        fixed.ci_halfwidth))
 
 
-def test_rate_estimates_frozen(default_geom, default_cfg, solved):
+def test_rate_estimates_frozen(monkeypatch, default_geom, default_cfg, solved):
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", RATE_BLOCK)
     for workers in (1, 2):
         ests = rate_curve(default_geom, default_cfg, solved, workers=workers, **RATE_KW)
         got = [(e.sir_db, e.policy, e.rate_objective.hex(), e.rate_endtoend.hex(),
@@ -788,6 +816,7 @@ def test_rate_estimates_frozen(default_geom, default_cfg, solved):
 
 def test_rate_slices_leave_estimates_unchanged(monkeypatch, default_geom, default_cfg, solved):
     # blocks of 30_000 and 10_000 cut into slices of 7_000 with remainders
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", RATE_BLOCK)
     monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 30_000)
     whole = rate_curve(default_geom, default_cfg, solved, **RATE_KW)
     monkeypatch.setattr(curelay.analysis, "SLICE_DRAWS", 7_000)
@@ -796,11 +825,10 @@ def test_rate_slices_leave_estimates_unchanged(monkeypatch, default_geom, defaul
         assert sliced == whole, workers
 
 
-def test_rate_worker_invariance(default_geom, default_cfg, solved):
-    a = rate_curve(default_geom, default_cfg, solved, [25.0], 100_000, seed=15, workers=1,
-                   block_size=25_000)
-    b = rate_curve(default_geom, default_cfg, solved, [25.0], 100_000, seed=15, workers=4,
-                   block_size=25_000)
+def test_rate_worker_invariance(monkeypatch, default_geom, default_cfg, solved):
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 25_000)
+    a = rate_curve(default_geom, default_cfg, solved, [25.0], 100_000, seed=15, workers=1)
+    b = rate_curve(default_geom, default_cfg, solved, [25.0], 100_000, seed=15, workers=4)
     assert a == b
 
 
@@ -826,7 +854,7 @@ def _rate_reference(draw, cfg, geom, lam):
 def test_rate_block_matches_fresh_array_reference(default_geom, default_cfg, solved):
     # a zero in each gain in turn, plus draws where gamma2 is infinite
     # (u2 = v2 = 0) or gamma_bs1 is 0/0 (h2 = g2 = 0), which are not counted
-    draw = sample_fading(np.random.default_rng(29), _UNIT_MEAN, 50, w2=False)
+    draw = sample_fading(np.random.default_rng(29), _UNIT_MEAN, 50)
     for i, name in enumerate(("h2", "g2", "f2", "u2", "v2")):
         getattr(draw, name)[i] = 0.0
     draw.u2[20] = draw.v2[20] = 0.0
@@ -846,9 +874,10 @@ def _fresh_workspace(n):
 
 def _sweep_sequence(geom, cfg, lam, workers):
     """A rate sweep, an outage sweep after it and another outage sweep after
-    that, each over 2.5 blocks: the rows each returns."""
+    that, each over 2.5 blocks of 20,000 (BLOCK_SIZE as the caller patches
+    it): the rows each returns."""
     configs = [replace(cfg, gamma_bar_db=g) for g in (0.0, 20.0, 40.0)]
-    kw = dict(trials=50_000, seed=37, workers=workers, block_size=20_000)
+    kw = dict(trials=50_000, seed=37, workers=workers)
     rows = _sweep(_rate_block, [(c, geom, lam, 7_000) for c in configs[:2]], w2=False, **kw)
     for gamma_th, side in ((3.0, "bs"), (0.5, "su")):
         rows += _sweep(_outage_block, [(configs, geom, lam, gamma_th, side, 7_000)], **kw)
@@ -859,9 +888,11 @@ def _sweep_sequence(geom, cfg, lam, workers):
 def test_sweep_rows_equal_fresh_arrays(monkeypatch, default_geom, default_cfg, solved, workers):
     # the reference gives every block fresh NaN-filled rows; the workspace
     # starts too short and holds values from earlier sweeps
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 20_000)
     monkeypatch.setattr(curelay.analysis, "_workspace", _fresh_workspace)
     want = _sweep_sequence(default_geom, default_cfg, solved, 1)
     monkeypatch.undo()
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 20_000)
     short = threading.local()
     short.rows = [np.full(100, 7.0) for _ in range(curelay.analysis._WORKSPACE_ROWS)]
     monkeypatch.setattr(curelay.analysis, "_scratch", short)
@@ -869,7 +900,9 @@ def test_sweep_rows_equal_fresh_arrays(monkeypatch, default_geom, default_cfg, s
     assert _sweep_sequence(default_geom, default_cfg, solved, workers) == want
 
 
-def test_sweeps_in_two_threads_equal_one_at_a_time(default_geom, default_cfg, solved):
+def test_sweeps_in_two_threads_equal_one_at_a_time(monkeypatch, default_geom, default_cfg,
+                                                    solved):
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 20_000)
     want = _sweep_sequence(default_geom, default_cfg, solved, 1)
     got = [None, None]
 
@@ -891,8 +924,8 @@ def test_sweep_pool_is_no_larger_than_cpus_or_tasks(monkeypatch, default_geom, d
     # four blocks at a million workers: the pool gets min(workers, CPUs,
     # tasks) processes; a stand-in pool records its size and maps in this
     # process, so no real pool is started at that count
-    kw = dict(gamma_th=3.0, side="bs", sir_grid_db=(10.0, 25.0), trials=40_000, seed=7,
-              block_size=10_000)
+    kw = dict(gamma_th=3.0, side="bs", sir_grid_db=(10.0, 25.0), trials=40_000, seed=7)
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 10_000)
     want = outage_mc(default_geom, default_cfg, solved, **kw)
     sizes = []
 
@@ -928,7 +961,8 @@ def test_rate_sweep_after_outage_sweep_equals_fresh_arrays(monkeypatch, default_
     # sweep's shorter slices then take; the reference gives every block and
     # slice fresh rows
     configs = [replace(default_cfg, gamma_bar_db=g) for g in (0.0, 20.0, 40.0)]
-    kw = dict(trials=50_000, seed=41, workers=1, block_size=20_000)
+    kw = dict(trials=50_000, seed=41, workers=1)
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 20_000)
 
     def rate():
         return _sweep(_rate_block, [(c, default_geom, solved, 7_000) for c in configs[:2]],
@@ -938,6 +972,7 @@ def test_rate_sweep_after_outage_sweep_equals_fresh_arrays(monkeypatch, default_
     monkeypatch.setattr(curelay.analysis, "_slice_rows", _fresh_slice_rows)
     want = rate()
     monkeypatch.undo()
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", 20_000)
     for side in ("bs", "su"):
         _sweep(_outage_block, [(configs, default_geom, solved, 3.0, side, SLICE_DRAWS)], **kw)
         assert curelay.analysis._scratch.slice_rows[0].size >= SLICE_DRAWS

@@ -18,6 +18,7 @@ from curelay import (
     dist_v3,
     sample_fading,
 )
+from curelay.channels import _at_mean
 from curelay.mathkernel import NumericTolerance, integrate
 
 TIGHT = NumericTolerance(rel_tol=1e-12, abs_tol=1e-300, max_iter=4000)
@@ -90,30 +91,43 @@ def test_sampler_deterministic(default_cfg):
 
 
 @pytest.mark.parametrize("gamma_bar_db", [0.0, 30.0, -7.3])
-@pytest.mark.parametrize("w2", [True, False])
-def test_sample_fading_equals_exponential_with_and_without_out(default_cfg, gamma_bar_db, w2):
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
+def test_sample_fading_equals_exponential_with_and_without_out(default_cfg, gamma_bar_db, count):
     """Gains drawn as unit-mean exponentials and scaled in place, into fresh
-    arrays or into the rows of `out`, are bit for bit rng.exponential at the
-    gains' means, in the documented draw order, also for a single draw."""
+    arrays or into the first `count` rows of `out`, are bit for bit
+    rng.exponential at the gains' means, in the documented draw order, also
+    for a single draw; the gains past the rows of `out` are not drawn."""
     cfg = replace(default_cfg, gamma_bar_db=gamma_bar_db)
-    names = ("h2", "g2", "f2", "u2", "v2", "w2")[:6 if w2 else 5]
+    names = ("h2", "g2", "f2", "u2", "v2", "w2")
     for size in (None, 1000):
         rng = np.random.default_rng([9, 4])
         want = [rng.exponential(cfg.gamma_bar_lin if i < 3 else 1.0, size)
                 for i in range(len(names))]
-        got = sample_fading(np.random.default_rng([9, 4]), cfg, size, w2=w2)
+        got = sample_fading(np.random.default_rng([9, 4]), cfg, size)
         assert [np.asarray(getattr(got, n)).tobytes() for n in names] == \
             [np.asarray(a).tobytes() for a in want]
-        assert (got.w2 is None) != w2
     rows = [np.full(1200, np.nan) for _ in range(8)]
-    out = [row[:1000] for row in rows]
-    got = sample_fading(np.random.default_rng([9, 4]), cfg, 1000, w2=w2, out=out)
-    for i, name in enumerate(names):
+    out = [row[:1000] for row in rows[:count]]
+    got = sample_fading(np.random.default_rng([9, 4]), cfg, 1000, out=out)
+    for i, name in enumerate(names[:count]):
         assert getattr(got, name) is out[i]
         assert getattr(got, name).tobytes() == want[i].tobytes()
-    assert (got.w2 is None) != w2
+    assert all(getattr(got, name) is None for name in names[count:])
     assert all(np.isnan(row[1000:]).all() for row in rows)
-    assert all(np.isnan(row).all() for row in rows[len(names):])
+    assert all(np.isnan(row).all() for row in rows[count:])
+
+
+@pytest.mark.parametrize("size", [None, 1000])
+def test_sample_fading_is_the_unit_draw_at_mean(default_cfg, size):
+    """One scaling rule: a draw at gamma_bar != 1 is `_at_mean` of the
+    unit-mean draw from the same generator state, bit for bit."""
+    cfg = replace(default_cfg, gamma_bar_db=23.7)
+    unit = replace(default_cfg, gamma_bar_db=0.0)
+    got = sample_fading(np.random.default_rng([3, 1]), cfg, size)
+    want = _at_mean(sample_fading(np.random.default_rng([3, 1]), unit, size), cfg)
+    for name in ("h2", "g2", "f2", "u2", "v2", "w2"):
+        assert np.asarray(getattr(got, name)).tobytes() == \
+            np.asarray(getattr(want, name)).tobytes(), name
 
 
 def test_unit_draw_scales_bitwise_to_gamma_bar(default_cfg):

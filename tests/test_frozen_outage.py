@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import curelay.analysis
 from curelay import load_config, outage_mc, solve_water_level
 
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -91,10 +92,11 @@ def _digest(estimates):
 
 
 @pytest.mark.parametrize("key", list(OUTAGE_DIGESTS), ids=str)
-def test_outage_estimate_bits(placements, key):
+def test_outage_estimate_bits(monkeypatch, placements, key):
     name, side, gamma_th = key
     geom, pw, lam = placements[name]
+    monkeypatch.setattr(curelay.analysis, "BLOCK_SIZE", BLOCK)
     for workers in (1, 2):
         ests = outage_mc(geom, pw, lam, gamma_th, side, GRID_DB, TRIALS, SEED,
-                         workers=workers, block_size=BLOCK)
+                         workers=workers)
         assert _digest(ests) == OUTAGE_DIGESTS[key], workers

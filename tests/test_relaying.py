@@ -277,6 +277,7 @@ def test_oracle_guards(default_geom, default_cfg):
 
 
 def test_sir_sample_rejects_a_draw_without_w2(default_geom, default_cfg):
-    draw = sample_fading(np.random.default_rng(5), default_cfg, 5, w2=False)
+    draw = sample_fading(np.random.default_rng(5), default_cfg, 5,
+                         out=[np.empty(5) for _ in range(5)])
     with pytest.raises(ValueError, match="w2"):
         sir_sample(draw, default_geom, default_cfg, 5.0)
