@@ -453,12 +453,16 @@ def outage_bs_bounds(gamma_th: float, geom: ScenarioGeometry, cfg: PowerConfig,
 
     lower = F1(g) + F2(g) - F1(g) F2(g) evaluated at g = gamma_th,
     upper = the same expression at 2 gamma_th, raised to lower where
-    rounding puts it an ulp below (where F1 rounds to 1 at both).
+    rounding puts it an ulp below (where F1 rounds to 1 at both). Both are
+    NaN at lam = 0, where the SU never transmits and the statistic, which is
+    conditioned on transmission, has no draw.
     """
     if gamma_th < 0:
         raise ValueError("gamma_th must be >= 0")
     if gamma_th == 0.0:
         return 0.0, 0.0
+    if lam == 0.0:
+        return math.nan, math.nan
     et = derive_etas(geom)
     g = np.array([gamma_th, 2.0 * gamma_th])
     _, f1 = dist_gamma_ratio(g, et.eta1, cfg.gamma_bar_lin)

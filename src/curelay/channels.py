@@ -15,7 +15,7 @@ Random-variable shorthand used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -94,6 +94,11 @@ class PowerConfig:
     p_cci_db: float
     w_db: float
     gamma_bar_db: float
+
+    def __post_init__(self):
+        # stored as Python floats, so that a numpy scalar computes as a float does
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     @property
     def p_cci_lin(self) -> float:
@@ -212,7 +217,10 @@ def dist_gamma_ratio(x, eta, gamma_bar_lin):
     is exponential with mean gamma_bar and Y exponential with mean 1:
     pdf = s/(x+s)^2 (s/(x+s)/(x+s) where the square overflows), cdf = x/(x+s)
     with scale s = eta * gamma_bar; at x = inf, their limits 0 and 1. Where
-    s overflows, their limits as s -> inf: 0 at every finite x."""
+    s overflows, their limits as s -> inf: 0 at every finite x. Within 2^-40
+    of 1, where the two roundings of x/(x+s) can step it back by an ulp
+    between x's whose CDFs differ by less, the cdf is 1 - s/(x+s), which
+    each of its roundings keeps nondecreasing in x."""
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     if not gamma_bar_lin > 0:
@@ -224,5 +232,6 @@ def dist_gamma_ratio(x, eta, gamma_bar_lin):
     t = arr + s
     with np.errstate(over="ignore", invalid="ignore"):
         pdf = np.where(np.isinf(t * t), s / t / t, s / t ** 2)[()]
-        cdf = np.where(np.isinf(t), 1.0, arr / t)[()]
+        tail = s / t
+        cdf = np.where(tail < 2.0 ** -40, 1.0 - tail, arr / t)[()]
     return pdf, cdf

@@ -351,8 +351,7 @@ def _validation_rows(cfg: ExperimentConfig):
     check("su-upper-equality-iff-zero-power", float(bad), 0.0)
 
     one = sample_fading(np.random.default_rng(cfg.seed + 1), power)
-    sir_hat = symbol_level_oracle(one, geom, power, level.lam, n_symbols=100_000,
-                                  rng=np.random.default_rng(cfg.seed + 2))
+    sir_hat = symbol_level_oracle(one, geom, power, level.lam, np.random.default_rng(cfg.seed + 2))
     closed = sir_sample(one, geom, power, level.lam)
     rel_bs = abs(sir_hat[0] - closed.gamma_bs1[0]) / closed.gamma_bs1[0]
     rel_su = abs(sir_hat[1] - closed.gamma_su1[0]) / closed.gamma_su1[0]

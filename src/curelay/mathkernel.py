@@ -60,6 +60,9 @@ class NumericTolerance:
 # Defaults: two orders tighter than anything the experiment layer asserts.
 QUAD_TOL = NumericTolerance(rel_tol=1e-8, abs_tol=1e-14, max_iter=2000)
 ROOT_TOL = NumericTolerance(rel_tol=1e-10, abs_tol=0.0, max_iter=300)
+# root search ceiling over the target: far beyond any physical water level at
+# tested configurations
+CEILING_FACTOR = 1e6
 
 
 class IntegrationError(RuntimeError):
@@ -82,7 +85,11 @@ class BracketError(RuntimeError):
 # exponential integral E1 and Tricomi Psi(1,1,x) = e^x E1(x)
 # ---------------------------------------------------------------------------
 
-_E1_SERIES_TERMS = 40
+# For 0 < x <= 1 the partial sum is at least x - x^2/4 >= 3x/4, and term k
+# is at most x/(k k!). From k = 18 on that is below 2^-55 * 3x/4, under half
+# the spacing of the floats near the sum, so every later term rounds away:
+# 17 terms give the bits of any longer series.
+_E1_SERIES_TERMS = 17
 
 
 def _e1_series(x):
@@ -507,36 +514,37 @@ def _adapt(g, a, b, tol, plan):
 # ---------------------------------------------------------------------------
 
 
-def solve_root_monotone(g, target, tol=ROOT_TOL, ceiling=None, first_step=1.0):
+def solve_root_monotone(g, target):
     """Solve g(x) = target for x >= 0, for a continuous nondecreasing g with
     g(0) <= target.
 
-    Bracket by geometric doubling from 0, then bisect. Returns x* with
-    |g(x*) - target| <= tol.rel_tol * max(1, |target|). Raises BracketError
-    if no bracket exists below `ceiling`, or if the bisection stalls, with
-    the residual of its last step. The search calls g at most once at each
-    x: once the bracket has doubled, the bisection's first midpoint is the
-    last bracketing step, whose value it takes. So the returned x* is one g
-    was called at, not necessarily the last.
+    Bracket by doubling from x = target, then bisect. Returns x* with
+    |g(x*) - target| <= ROOT_TOL.rel_tol * max(1, |target|). Raises
+    BracketError if no bracket exists below CEILING_FACTOR * target, or if
+    the bisection stalls, with the residual of its last step. The search
+    calls g at most once at each x: once the bracket has doubled, the
+    bisection's first midpoint is the last bracketing step, whose value it
+    takes. So the returned x* is one g was called at, not necessarily the last.
     """
-    resid_tol = tol.rel_tol * max(1.0, abs(target))
+    resid_tol = ROOT_TOL.rel_tol * max(1.0, abs(target))
     g0 = g(0.0)
     if g0 > target + resid_tol:
         raise BracketError(f"g(0)={g0!r} already exceeds target={target!r}")
     if abs(g0 - target) <= resid_tol:
         return 0.0
     lo, glo = 0.0, g0  # the last bracketing step below the target
-    hi = abs(first_step) if first_step else 1.0
+    ceiling = CEILING_FACTOR * target
+    hi = abs(target)
     ghi = g(hi)
     while ghi < target:
-        if ceiling is not None and hi >= ceiling:
+        if hi >= ceiling:
             raise BracketError(
                 f"no bracket below ceiling {ceiling!r}: g({hi!r})={ghi!r} < target {target!r}")
         lo, glo = hi, ghi
         hi *= 2.0
         ghi = g(hi)
     a, b = 0.0, hi
-    for _ in range(tol.max_iter):
+    for _ in range(ROOT_TOL.max_iter):
         x = 0.5 * (a + b)
         gx = glo if x == lo else g(x)
         if abs(gx - target) <= resid_tol:

@@ -44,8 +44,6 @@ __all__ = [
     "fixed_power",
 ]
 
-# search ceiling: far beyond any physical water level at tested configurations
-CEILING_FACTOR = 1e6
 # how many times the quadrature and root tolerances a closed-form value must
 # lie from the target to decide a bisection step without quadrature; the
 # screen runs only while the closed form agrees with the quadrature to within
@@ -130,8 +128,7 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
         integrated[lam], top = value, max(top, lam)
         return value
 
-    lam = solve_root_monotone(g, w_lin, ROOT_TOL, ceiling=CEILING_FACTOR * w_lin,
-                              first_step=w_lin)
+    lam = solve_root_monotone(g, w_lin)
     return WaterLevel(lam=lam, residual=integrated[lam] - w_lin)
 
 

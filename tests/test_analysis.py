@@ -622,6 +622,13 @@ def test_bounds_ordering(default_geom, default_cfg, solved):
     assert 0.0 < lo <= up < 1.0
 
 
+def test_bounds_at_zero_water_level_are_nan(default_geom, default_cfg):
+    # lam = 0: the SU never transmits, and the statistic conditioned on
+    # transmission has no draw
+    assert all(math.isnan(v) for v in outage_bs_bounds(3.0, default_geom, default_cfg, 0.0))
+    assert outage_bs_bounds(0.0, default_geom, default_cfg, 0.0) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("gamma_bar_db", [0.0, 30.0])
 def test_bs_bounds_equal_scalar_evaluation(default_geom, default_cfg, solved, gamma_bar_db):
     # one dist_t call on [c2, c2/(g+1), c2/(2g+1)] gives the bits of one

@@ -205,6 +205,21 @@ def test_outage_bs_at_huge_thresholds(tmp_path, gamma_th):
         assert 0.0 <= float(row[7]) <= float(row[8])
 
 
+@pytest.mark.parametrize("w_db", ["-100", "-150", "-3076.5"])
+def test_outage_bs_at_zero_water_level(tmp_path, w_db):
+    # W_lin <= 1e-10 meets the solve's absolute stop test at lam = 0: no draw
+    # transmits, so the Monte-Carlo estimate and both bounds read nan
+    out = tmp_path / "o.csv"
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "curelay", "outage-bs",
+                        "--config", str(DEFAULT_CFG), "--trials", "10000", f"--w-db={w_db}",
+                        "--out", str(out)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    meta, _, rows = read_rows(out)
+    assert "# lambda = 0" in meta
+    assert len(rows) == 9
+    assert all(row[5:] == ["nan", "nan", "nan", "nan", "0", "10000"] for row in rows)
+
+
 def test_rate_csv(tmp_path):
     body = FAST_BODY.replace("trials = 20000", "trials = 100000")
     cfg = load_config(write_cfg(tmp_path, body))

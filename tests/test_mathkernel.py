@@ -1,6 +1,7 @@
 """Math-kernel tests: oracle values come from quadrature, brute-force series,
 or asymptotic truncations computed in the test itself."""
 
+import hashlib
 import math
 import warnings
 
@@ -46,6 +47,20 @@ def test_e1_small_x_log_limit():
     # E1(x) = -gamma - ln x + x + O(x^2): check the log limit to first order
     for x in (1e-8, 1e-7, 1e-6):
         assert abs(exp_e1(x) + math.log(x) + EULER_GAMMA) <= 2 * x
+
+
+# SHA-256 of exp_e1 and tricomi_psi11 on np.geomspace(5e-324, 1.0, 200_001),
+# subnormals included: the E1 series' bits, taken with 40 series terms
+E1_SERIES_DIGESTS = {
+    "exp_e1": "971a6546ee0db7b80e14da57351b9457ba51c8fb20a8d7b02f91c1b903d4c476",
+    "tricomi_psi11": "701613b8f21de06ca948d2d7eebdef0aa99f816199292faa28f5daaf9d6450d3",
+}
+
+
+@pytest.mark.parametrize("f", [exp_e1, tricomi_psi11])
+def test_e1_series_bits_at_and_below_one(f):
+    out = f(np.geomspace(5e-324, 1.0, 200_001))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == E1_SERIES_DIGESTS[f.__name__]
 
 
 def test_e1_at_one_vs_quadrature():
@@ -443,13 +458,15 @@ def test_root_precondition_violation():
 
 
 def test_root_ceiling_diagnostics():
-    with pytest.raises(BracketError, match="ceiling"):
-        solve_root_monotone(lambda x: math.tanh(x), 2.0, ceiling=1e6)
+    # the bracket doubles from the target up to CEILING_FACTOR times it, so
+    # a target of 0 meets the ceiling at once
+    for g, target, ceiling in [(math.tanh, 2.0, "2000000.0"), (lambda x: x - 1.0, 0.0, "0.0")]:
+        with pytest.raises(BracketError, match=f"ceiling {ceiling}:"):
+            solve_root_monotone(g, target)
 
 
 def test_root_random_piecewise_linear():
     rng = np.random.default_rng(3)
-    tol = NumericTolerance(rel_tol=1e-10, max_iter=300)
     for _ in range(20):
         knots = np.sort(rng.uniform(0.0, 10.0, size=6))
         slopes = rng.uniform(0.1, 3.0, size=7)
@@ -467,8 +484,8 @@ def test_root_random_piecewise_linear():
 
         x0 = rng.uniform(0.5, 9.5)
         target = g(x0)
-        x = solve_root_monotone(g, target, tol)
-        assert abs(g(x) - target) <= tol.rel_tol * max(1.0, abs(target))
+        x = solve_root_monotone(g, target)
+        assert abs(g(x) - target) <= 1e-10 * max(1.0, abs(target))
 
 
 def test_root_sampled_expectation():
@@ -479,19 +496,18 @@ def test_root_sampled_expectation():
     def g(x):
         return float(np.maximum(x - t_sample, 0.0).mean())
 
-    tol = NumericTolerance(rel_tol=1e-9, max_iter=200)
-    x = solve_root_monotone(g, 2.0, tol)
+    x = solve_root_monotone(g, 2.0)
     assert abs(g(x) - 2.0) <= 1e-9 * 2.0
 
 
 @pytest.mark.parametrize("jump", [False, True])
 def test_root_bisection_calls_g_at_most_once_at_each_x(jump):
-    # a bracket at the first step; with a jump across the target the
+    # a bracket at the first step, x = 8; with a jump across the target the
     # bisection stalls, and the error carries its last step's x and residual
     calls = []
 
     def step(x):
-        return (10.0 if x >= math.pi else 0.0) if jump else x
+        return (10.0 if x >= math.pi else 0.0) if jump else 8.0 * x / math.pi
 
     def g(x):
         calls.append(x)
@@ -499,30 +515,30 @@ def test_root_bisection_calls_g_at_most_once_at_each_x(jump):
 
     if jump:
         with pytest.raises(BracketError, match="bisection stalled") as err:
-            solve_root_monotone(g, math.pi, first_step=8.0)
+            solve_root_monotone(g, 8.0)
         x = calls[-1]
-        assert f"x={x!r}, residual {step(x) - math.pi!r} exceeds" in str(err.value)
+        assert f"x={x!r}, residual {step(x) - 8.0!r} exceeds" in str(err.value)
     else:
-        assert solve_root_monotone(g, math.pi, first_step=8.0) == calls[-1]
+        assert solve_root_monotone(g, 8.0) == calls[-1]
         assert calls[-1] == pytest.approx(math.pi, abs=1e-9)
     assert calls[:3] == [0.0, 8.0, 4.0]
     assert len(set(calls)) == len(calls) > 30
 
 
-@pytest.mark.parametrize("target", [math.pi, 4.0 + 1e-12])
-def test_root_search_calls_g_at_most_once_at_each_x_after_the_bracket_doubles(target):
-    # the bracket doubles from 0.25, and the bisection's first midpoint is
-    # its last step below the target: 2 for pi, 4 for 4 + 1e-12, where that
-    # step already meets the stop test
+@pytest.mark.parametrize("root", [math.pi, 4.0 + 1e-12])
+def test_root_search_calls_g_at_most_once_at_each_x_after_the_bracket_doubles(root):
+    # the bracket doubles from the target 0.25, and the bisection's first
+    # midpoint is its last step below the target: 2 for pi, 4 for 4 + 1e-12,
+    # where that step already meets the stop test
     calls = []
 
     def g(x):
         calls.append(x)
-        return x
+        return x / (4.0 * root)
 
-    x = solve_root_monotone(g, target, first_step=0.25)
+    x = solve_root_monotone(g, 0.25)
     assert calls[:6] == [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
     assert len(set(calls)) == len(calls)
-    assert abs(x - target) <= 1e-10 * target
-    if target > 4.0:
+    assert abs(x / (4.0 * root) - 0.25) <= 1e-10
+    if root > 4.0:
         assert (x, calls[6:]) == (4.0, [8.0])

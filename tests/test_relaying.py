@@ -69,7 +69,8 @@ def test_relay_gain_normalization(default_geom, default_cfg):
     d = sample_fading(rng, default_cfg, 1000)
     e = default_geom.epsilon
     p = default_cfg.p_cci_lin
-    beta = relay_gain(d, default_geom, p, 2.0)
+    beta = np.array([relay_gain(make_draw(h2=h2, g2=g2, v2=v2), default_geom, p, 2.0)
+                     for h2, g2, v2 in zip(d.h2, d.g2, d.v2)])
     total = (p * default_geom.s ** -e * d.h2 + 2.0 * default_geom.l ** -e * d.g2
              + p * default_geom.r ** -e * d.v2)
     assert np.abs(beta**2 * total - 1.0).max() < 1e-14
@@ -245,15 +246,15 @@ def test_oracle_matches_closed_forms(default_geom, default_cfg):
         d = sample_fading(np.random.default_rng(seed), default_cfg)
         s = sir_sample(d, default_geom, default_cfg, level.lam)
         bs_hat, su_hat = symbol_level_oracle(d, default_geom, default_cfg, level.lam,
-                                             n_symbols=10**5,
-                                             rng=np.random.default_rng(seed + 100))
+                                             np.random.default_rng(seed + 100))
         assert bs_hat == pytest.approx(s.gamma_bs1[0], rel=0.02)
         assert su_hat == pytest.approx(s.gamma_su1[0], rel=0.02)
 
 
 def test_oracle_zero_interference_sentinel(default_geom, default_cfg):
     d = make_draw(u2=0.0, v2=0.0, w2=0.0)
-    bs_hat, su_hat = symbol_level_oracle(d, default_geom, default_cfg, 5.0)
+    bs_hat, su_hat = symbol_level_oracle(d, default_geom, default_cfg, 5.0,
+                                         np.random.default_rng(0))
     assert np.isinf(bs_hat) and np.isinf(su_hat)
     s = sir_sample(d, default_geom, default_cfg, 5.0)
     assert np.isinf(s.gamma_bs1[0]) and np.isinf(s.gamma_su1[0])
@@ -268,12 +269,6 @@ def test_oracle_needs_cancellation(default_geom, default_cfg):
                                          rng=np.random.default_rng(55))
     assert abs(bs_raw - s.gamma_bs1[0]) / s.gamma_bs1[0] > 0.5
     assert abs(su_raw - s.gamma_su1[0]) / s.gamma_su1[0] > 0.5
-
-
-def test_oracle_guards(default_geom, default_cfg):
-    d = make_draw()
-    with pytest.raises(ValueError):
-        symbol_level_oracle(d, default_geom, default_cfg, 1.0, n_symbols=100)
 
 
 def test_sir_sample_rejects_a_draw_without_w2(default_geom, default_cfg):
