@@ -340,12 +340,16 @@ def _critical(draw, cfg, geom, lam, gamma_th, side):
             # inf where not above, else the quotient: fmax with +inf there and
             # -inf elsewhere (a masked write on this dense, random mask takes
             # ~5x as long); a NaN quotient above becomes -inf, and the draw
-            # exact, as it would be with the NaN
+            # exact, as it would be with the NaN. NaN where P_su1 == 0, again
+            # without a mask: p/p is 1 for a finite p > 0 and NaN at 0, and
+            # abs gives every NaN np.nan's bits (it turns -inf to inf only on
+            # draws already exact)
             np.fmax(crit, np.multiply(np.subtract(0.5, above, out=cci), np.inf, out=cci),
                     out=crit)
             above &= np.logical_not(np.isfinite(crit, out=m2), out=m2)
             exact |= above
-            np.copyto(crit, np.nan, where=np.equal(p_su1, 0.0, out=m1))
+            np.multiply(crit, np.divide(p_su1, p_su1, out=cci), out=crit)
+            np.abs(crit, out=crit)
         else:
             # gamma3 = gamma_bar a3, gamma4 = gamma_bar a4 and the SU's own
             # term k of gamma5 is free of gamma_bar, so gamma_su1 < gamma_th iff

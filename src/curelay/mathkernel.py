@@ -431,9 +431,13 @@ def integrate(f, lo, hi, tol=QUAD_TOL, plan=()):
     result = _adapt(g, a, b, tol, plan)
     if _converged(result.value, result.error_bound, tol):
         return result
+    # the error keeps only its numbers: the traceback holds this frame, and
+    # the result's splits would otherwise live as long as the error
+    partial, error_bound = result.value, result.error_bound
+    del result
     raise IntegrationError(
         f"quadrature did not converge within {tol.max_iter} subdivisions",
-        result.value, result.error_bound)
+        partial, error_bound)
 
 
 def _allowed_error(value, tol):

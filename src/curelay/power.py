@@ -128,8 +128,13 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
         integrated[lam], top = value, max(top, lam)
         return value
 
-    lam = solve_root_monotone(g, w_lin)
-    return WaterLevel(lam=lam, residual=integrated[lam] - w_lin)
+    try:
+        lam = solve_root_monotone(g, w_lin)
+        return WaterLevel(lam=lam, residual=integrated[lam] - w_lin)
+    finally:
+        # a raised error's traceback holds this frame: empty what it would keep alive
+        integrated.clear()
+        plan.clear()
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 satisfaction oracle: the Monte-Carlo average of the interference actually
 received at the constrained node must reproduce the configured budget."""
 
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -94,6 +96,33 @@ def test_batched_solve_matches_one_split_per_call(placements, key, monkeypatch):
         batched = _solve_bits(geom, pw)
         monkeypatch.setattr(mathkernel, "_BATCH_CAP", 1)
         assert batched == _solve_bits(geom, pw)
+
+
+@pytest.mark.parametrize("point, error", [
+    ((43.20, -25.83), mathkernel.IntegrationError),
+    ((39.73583632597491, -23.993417468946063), mathkernel.BracketError),
+], ids=["corner", "stalled_bisection"])
+def test_a_kept_solver_error_keeps_only_its_numbers(placements, point, error):
+    # a caller that keeps the errors of failed solves, such as a corner
+    # sweep, holds a few KiB per error, not the solve's quadrature state.
+    # One solve, as tracing slows it about 8x; the size is what dropping the
+    # error frees, so caches that outlive the solve anyway do not count
+    c = placements["default"]
+    geom, pw = c.geometry, _power(c, point)
+    tracemalloc.start()
+    try:
+        try:
+            solve_water_level(geom, pw)
+        except error as exc:
+            kept = exc
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+        del kept
+        gc.collect()
+        size -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= 8 * 1024
 
 
 def test_closed_form_check_reports(default_geom, default_cfg):
