@@ -382,16 +382,14 @@ def _replay(g, a, b, plan):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """The estimate, its error bound, the panel count, and the heap ids of the
-    panels the run split (root 1; panel k splits into 2k and 2k+1)."""
+    """The estimate, its error bound and the panel count."""
 
     value: float
     error_bound: float
     panels: int
-    splits: frozenset = frozenset()
 
 
-def integrate(f, lo, hi, tol=QUAD_TOL, plan=()):
+def integrate(f, lo, hi, tol=QUAD_TOL, plan=None):
     """Adaptive Gauss-Kronrod quadrature of a vectorized integrand over
     [lo, hi], lo finite and hi > lo finite or +inf.
 
@@ -402,12 +400,13 @@ def integrate(f, lo, hi, tol=QUAD_TOL, plan=()):
     Raises IntegrationError (carrying the partial estimate) if the tolerance
     is not met within tol.max_iter panel subdivisions.
 
-    `plan` is a collection of panel heap ids, typically the `splits` of an
-    earlier run on a similar integrand. Before the adaptive loop, the
-    integrand is evaluated in a few large calls on the root panel and on the
-    halves of every planned split; the loop then takes those values. A split
-    that has none is evaluated in one call with the halves of further heap
-    panels likely to split next, whose values the loop takes when it gets to
+    `plan`, if given, is a set of panel heap ids (root 1; panel k splits
+    into 2k and 2k+1) that the call replays and then refills with its own
+    splits, converged or not. Before the adaptive loop, the integrand is
+    evaluated in a few large calls on the root panel and on the halves of
+    every planned split; the loop then takes those values. A split that has
+    none is evaluated in one call with the halves of further heap panels
+    likely to split next, whose values the loop takes when it gets to
     them: 1 split in the first such call of a run, twice as many in each
     next one, up to _BATCH_CAP, and no more panels than the error still
     above the tolerance can need. The loop itself (heap order, stop test,
@@ -417,7 +416,9 @@ def integrate(f, lo, hi, tol=QUAD_TOL, plan=()):
     costs the evaluations of splits that never happen.
     """
     lo, hi = float(lo), float(hi)
+    plan = set() if plan is None else plan
     if lo == hi:
+        plan.clear()
         return QuadratureResult(0.0, 0.0, 0)
     if not (math.isfinite(lo) and lo < hi):
         raise ValueError(f"integrate needs finite lo < hi, got ({lo}, {hi})")
@@ -431,13 +432,9 @@ def integrate(f, lo, hi, tol=QUAD_TOL, plan=()):
     result = _adapt(g, a, b, tol, plan)
     if _converged(result.value, result.error_bound, tol):
         return result
-    # the error keeps only its numbers: the traceback holds this frame, and
-    # the result's splits would otherwise live as long as the error
-    partial, error_bound = result.value, result.error_bound
-    del result
     raise IntegrationError(
         f"quadrature did not converge within {tol.max_iter} subdivisions",
-        partial, error_bound)
+        result.value, result.error_bound)
 
 
 def _allowed_error(value, tol):
@@ -474,15 +471,16 @@ def _batch(g, heap, planned, first, size, min_width, excess):
 
 def _adapt(g, a, b, tol, plan):
     """The adaptive loop of `integrate` on a finite [a, b]: its estimate
-    whether or not it converged. Kept apart so that a raised
-    IntegrationError does not keep the panel heap alive."""
+    whether or not it converged; `plan` is replayed, then refilled with this
+    run's splits. Kept apart so that a raised IntegrationError does not keep
+    the panel heap alive."""
     root, planned = _replay(g, a, b, plan)
+    plan.clear()
     size = 1  # splits per unplanned call: doubles on each call, up to _BATCH_CAP
     val, err = _gk15_reduce(root, a, b)
     heap = [(-err, 0, a, b, val, err, 1)]
     total_val, total_err = val, err
     counter = 1
-    splits = []
     min_width = 1e-14 * (b - a)
     for _ in range(tol.max_iter):
         if _converged(total_val, total_err, tol):
@@ -509,8 +507,8 @@ def _adapt(g, a, b, tol, plan):
         heapq.heappush(heap, (-e1, counter, pa, pm, v1, e1, 2 * k))
         heapq.heappush(heap, (-e2, counter + 1, pm, pb, v2, e2, 2 * k + 1))
         counter += 2
-        splits.append(k)
-    return QuadratureResult(total_val, total_err, counter, frozenset(splits))
+        plan.add(k)
+    return QuadratureResult(total_val, total_err, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +516,29 @@ def _adapt(g, a, b, tol, plan):
 # ---------------------------------------------------------------------------
 
 
+def _resid_tol(target):
+    """The root finder's stop band: it stops where |g(x) - target| is within it."""
+    return ROOT_TOL.rel_tol * max(1.0, abs(target))
+
+
 def solve_root_monotone(g, target):
     """Solve g(x) = target for x >= 0, for a continuous nondecreasing g with
     g(0) <= target.
 
-    Bracket by doubling from x = target, then bisect. Returns x* with
-    |g(x*) - target| <= ROOT_TOL.rel_tol * max(1, |target|). Raises
+    Bracket by doubling from x = target, then bisect. Returns (x*, g(x*))
+    with g(x*) within `_resid_tol(target)` of the target. Raises
     BracketError if no bracket exists below CEILING_FACTOR * target, or if
     the bisection stalls, with the residual of its last step. The search
     calls g at most once at each x: once the bracket has doubled, the
     bisection's first midpoint is the last bracketing step, whose value it
-    takes. So the returned x* is one g was called at, not necessarily the last.
+    takes.
     """
-    resid_tol = ROOT_TOL.rel_tol * max(1.0, abs(target))
+    resid_tol = _resid_tol(target)
     g0 = g(0.0)
     if g0 > target + resid_tol:
         raise BracketError(f"g(0)={g0!r} already exceeds target={target!r}")
     if abs(g0 - target) <= resid_tol:
-        return 0.0
+        return 0.0, g0
     lo, glo = 0.0, g0  # the last bracketing step below the target
     ceiling = CEILING_FACTOR * target
     hi = abs(target)
@@ -552,7 +555,7 @@ def solve_root_monotone(g, target):
         x = 0.5 * (a + b)
         gx = glo if x == lo else g(x)
         if abs(gx - target) <= resid_tol:
-            return x
+            return x, gx
         if gx < target:
             a = x
         else:

@@ -9,9 +9,8 @@ by bracketing bisection (the left side is continuous and nondecreasing in
 lam). Bisection steps far from the root are steered by the closed-form
 reduction of the same expectation while it matches the quadrature; every
 step near the root, and the returned lam and residual, use the quadrature.
-Each quadrature of a solve replays the panel tree of the one before it, and
-evaluates the splits outside it in batches, so the integrand is evaluated in
-a few large calls; the bits do not change.
+Each quadrature of a solve replays the panel tree of the one before it; the
+bits do not change.
 The per-draw optimal transmit power is then
 
     P_su1 = max(0, lam/(d^-eps f2) - P (q^-eps u2 + r^-eps v2)/(l^-eps g2)).
@@ -28,7 +27,7 @@ from .channels import FadingRealization, PowerConfig, ScenarioGeometry, derive_e
 from .mathkernel import (
     EULER_GAMMA,
     QUAD_TOL,
-    ROOT_TOL,
+    _resid_tol,
     integrate,
     solve_root_monotone,
     tricomi_psi11,
@@ -63,9 +62,9 @@ def constraint_lhs(lam: float, geom: ScenarioGeometry, cfg: PowerConfig,
                    plan: set | None = None) -> float:
     """E[(lam - eta4 P T)^+] = int_0^{lam/(eta4 P)} (lam - eta4 P x) f_T(x) dx.
 
-    `plan`, if given, is a set of quadrature panel ids: the quadrature
-    replays it (see `integrate`) and it is then replaced by this quadrature's
-    own splits, ready for the next lam. The value does not depend on it.
+    `plan`, if given, is a set of quadrature panel ids that the quadrature
+    replays and then refills with its own splits, ready for the next lam
+    (see `integrate`). The value does not depend on it.
     """
     if lam <= 0.0:
         return 0.0
@@ -76,11 +75,7 @@ def constraint_lhs(lam: float, geom: ScenarioGeometry, cfg: PowerConfig,
         pdf, _ = dist_t(x, geom)
         return (lam - b * x) * pdf
 
-    result = integrate(integrand, 0.0, lam / b, QUAD_TOL, plan=plan or ())
-    if plan is not None:
-        plan.clear()
-        plan.update(result.splits)
-    return result.value
+    return integrate(integrand, 0.0, lam / b, QUAD_TOL, plan=plan).value
 
 
 def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
@@ -96,18 +91,12 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
     integrates every step. Bracketing steps lie above every lam integrated
     before them, so a quadrature failure there is raised as before.
 
-    Each quadrature replays the panel tree of the solve's previous one: near
-    the root lam moves little, the trees nearly coincide, and the integrand
-    is evaluated in a few large calls instead of once per split. Where the
-    tree predicts badly (the bracketing steps at high d, where lam doubles,
-    or a quadrature that runs out of subdivisions) the quadrature evaluates
-    its unplanned splits in batches (see `integrate`). Values, and so lam,
-    its residual and any failure, are the same bits as without the replay
-    or the batches.
+    The solve's quadratures share one plan (see `integrate`): each replays
+    the panel tree of the one before it, since near the root lam moves
+    little and the trees nearly coincide. The plan does not move a bit.
     """
     w_lin = cfg.w_lin
-    resid_tol = ROOT_TOL.rel_tol * max(1.0, w_lin)
-    integrated = {}  # lam -> its quadrature; the root finder returns at one of them
+    resid_tol = _resid_tol(w_lin)
     top = 0.0  # the largest lam integrated
     screen = True
     plan = set()  # the panels the last quadrature split
@@ -125,15 +114,14 @@ def solve_water_level(geom: ScenarioGeometry, cfg: PowerConfig) -> WaterLevel:
         value = constraint_lhs(lam, geom, cfg, plan=plan)
         if c is not None:
             screen = abs(value - c) <= tol(c)
-        integrated[lam], top = value, max(top, lam)
+        top = max(top, lam)
         return value
 
     try:
-        lam = solve_root_monotone(g, w_lin)
-        return WaterLevel(lam=lam, residual=integrated[lam] - w_lin)
+        lam, value = solve_root_monotone(g, w_lin)
+        return WaterLevel(lam=lam, residual=value - w_lin)
     finally:
         # a raised error's traceback holds this frame: empty what it would keep alive
-        integrated.clear()
         plan.clear()
 
 

@@ -499,6 +499,22 @@ def test_validate_passes_at_equal_pu4_distances(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+def test_validate_at_zero_water_level(tmp_path):
+    # lam = 0 at W = -100 dB, so the SU is silent and gamma_bs1 = 0: the BS
+    # oracle row holds the estimate against its noise floor instead of
+    # dividing by 0. The two checks of the lam = 0 solution against W FAIL
+    out = tmp_path / "v.csv"
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "curelay", "validate",
+                        "--config", str(DEFAULT_CFG), "--w-db=-100", "--out", str(out)],
+                       capture_output=True, text=True)
+    assert r.returncode == 1 and "2 validation check(s) FAILED" in r.stderr, r.stderr
+    _, _, rows = read_rows(out)
+    status = {row[0]: row[1] for row in rows}
+    assert status["symbol-oracle-bs-relative"] == status["symbol-oracle-su-relative"] == "PASS"
+    assert [name for name, st in status.items() if st == "FAIL"] == [
+        "closed-form-consistent-residual", "constraint-mc-relative-error"]
+
+
 def test_out_in_missing_directory_is_rejected_before_any_work(tmp_path, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the output path was opened")

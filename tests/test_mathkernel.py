@@ -346,31 +346,43 @@ REPLAY_CASES = {
 
 
 def _outcome(case, plan=()):
+    """The run's bits, or its failure, and the plan it leaves: its splits."""
     f, lo, hi, tol = REPLAY_CASES[case]
+    plan = set(plan)
     try:
         r = integrate(f, lo, hi, tol, plan=plan)
     except IntegrationError as exc:
-        return str(exc), exc.partial.hex(), exc.error_bound.hex()
-    return r.value.hex(), r.error_bound.hex(), r.panels, r.splits
+        return str(exc), exc.partial.hex(), exc.error_bound.hex(), plan
+    return r.value.hex(), r.error_bound.hex(), r.panels, plan
 
 
 @pytest.mark.parametrize("case", list(REPLAY_CASES))
 def test_integrate_result_does_not_depend_on_the_plan(case):
+    # neither the outcome nor the plan the run leaves
     base = _outcome(case)
-    f, lo, hi, tol = REPLAY_CASES[case]
-    try:
-        own = integrate(f, lo, hi, tol).splits
-    except IntegrationError:
-        own = frozenset(range(1, 64))
+    own = base[-1]
+    assert own
     plans = {
         "over-predicting": own | set(range(1, 256)) | {2 * k for k in own},
         "under-predicting": sorted(own)[::2],
-        "another integrand's": integrate(_peak, 0.0, 2.0, TIGHT).splits if case != "peak"
-        else integrate(np.log, 0.0, 1.0, REPLAY_CASES["log singularity"][3]).splits,
+        "another integrand's": _outcome("peak" if case != "peak" else "log singularity")[-1],
         "unreachable ids": {0, -3, 2 ** 80},
     }
     for name, plan in plans.items():
         assert _outcome(case, plan) == base, name
+
+
+def test_integrate_leaves_its_own_splits_in_a_plan_when_it_fails():
+    # a run out of budget splits once per subdivision, each split panel
+    # reached from the root, and the stale ids go
+    plan = {0, 3, 2 ** 80}
+    with pytest.raises(IntegrationError):
+        integrate(lambda t: np.sin(1.0 / t) / np.sqrt(t), 0.0, 1.0,
+                  NumericTolerance(1e-14, 1e-300, 40), plan=plan)
+    assert len(plan) == 40 and all(k == 1 or k // 2 in plan for k in plan)
+    # an empty range splits nothing
+    integrate(lambda t: t, 1.0, 1.0, plan=plan)
+    assert plan == set()
 
 
 def test_integrate_replays_its_plan_in_few_calls():
@@ -383,18 +395,20 @@ def test_integrate_replays_its_plan_in_few_calls():
     # without a plan: the root, then unplanned calls that take 1, 2, 4, ...
     # splits, as many as the heap's first levels offer and the remaining
     # error can need
-    base = integrate(f, 0.0, 2.0, TIGHT)
-    n = len(base.splits)
+    plan = set()
+    base = integrate(f, 0.0, 2.0, TIGHT, plan=plan)
+    own, n = set(plan), len(plan)
     assert 0 < n <= 67 and sizes == [15, 30] + [60] * 6 + [180, 120]
     # the run's own plan: one call on every abscissa the run needs
     sizes.clear()
-    again = integrate(f, 0.0, 2.0, TIGHT, plan=base.splits)
-    assert sizes == [15 + 30 * n] and again == base
+    again = integrate(f, 0.0, 2.0, TIGHT, plan=plan)
+    assert sizes == [15 + 30 * n] and again == base and plan == own
     # a large plan goes in calls of at most 2048 abscissae
     sizes.clear()
-    integrate(f, 0.0, 2.0, TIGHT, plan=range(1, 256))
+    plan = set(range(1, 256))
+    integrate(f, 0.0, 2.0, TIGHT, plan=plan)
     assert sizes[:4] == [15 + 30 * 67, 30 * 68, 30 * 68, 30 * 52]
-    assert max(sizes) <= 2048
+    assert max(sizes) <= 2048 and plan == own
 
 
 @pytest.mark.parametrize("case", list(REPLAY_CASES))
@@ -449,7 +463,20 @@ def test_integrate_batches_the_splits_of_an_exhausted_budget():
 
 
 def test_root_identity():
-    assert solve_root_monotone(lambda x: x, 5.0) == pytest.approx(5.0, abs=1e-9)
+    x, gx = solve_root_monotone(lambda x: x, 5.0)
+    assert x == pytest.approx(5.0, abs=1e-9) and gx == x
+
+
+def test_root_at_zero_returns_g_at_zero():
+    # g(0) already within the stop test: no other call
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x + 5.0 - 1e-12
+
+    assert solve_root_monotone(g, 5.0) == (0.0, 5.0 - 1e-12)
+    assert calls == [0.0]
 
 
 def test_root_precondition_violation():
@@ -484,8 +511,8 @@ def test_root_random_piecewise_linear():
 
         x0 = rng.uniform(0.5, 9.5)
         target = g(x0)
-        x = solve_root_monotone(g, target)
-        assert abs(g(x) - target) <= 1e-10 * max(1.0, abs(target))
+        x, gx = solve_root_monotone(g, target)
+        assert gx == g(x) and abs(gx - target) <= 1e-10 * max(1.0, abs(target))
 
 
 def test_root_sampled_expectation():
@@ -496,8 +523,8 @@ def test_root_sampled_expectation():
     def g(x):
         return float(np.maximum(x - t_sample, 0.0).mean())
 
-    x = solve_root_monotone(g, 2.0)
-    assert abs(g(x) - 2.0) <= 1e-9 * 2.0
+    x, gx = solve_root_monotone(g, 2.0)
+    assert gx == g(x) and abs(gx - 2.0) <= 1e-9 * 2.0
 
 
 @pytest.mark.parametrize("jump", [False, True])
@@ -519,8 +546,9 @@ def test_root_bisection_calls_g_at_most_once_at_each_x(jump):
         x = calls[-1]
         assert f"x={x!r}, residual {step(x) - 8.0!r} exceeds" in str(err.value)
     else:
-        assert solve_root_monotone(g, 8.0) == calls[-1]
-        assert calls[-1] == pytest.approx(math.pi, abs=1e-9)
+        x, gx = solve_root_monotone(g, 8.0)
+        assert (x, gx) == (calls[-1], step(calls[-1]))
+        assert x == pytest.approx(math.pi, abs=1e-9)
     assert calls[:3] == [0.0, 8.0, 4.0]
     assert len(set(calls)) == len(calls) > 30
 
@@ -529,16 +557,19 @@ def test_root_bisection_calls_g_at_most_once_at_each_x(jump):
 def test_root_search_calls_g_at_most_once_at_each_x_after_the_bracket_doubles(root):
     # the bracket doubles from the target 0.25, and the bisection's first
     # midpoint is its last step below the target: 2 for pi, 4 for 4 + 1e-12,
-    # where that step already meets the stop test
-    calls = []
+    # where that step already meets the stop test. The returned value is the
+    # object one call at x returned
+    calls, values = [], []
 
     def g(x):
         calls.append(x)
-        return x / (4.0 * root)
+        values.append(x / (4.0 * root))
+        return values[-1]
 
-    x = solve_root_monotone(g, 0.25)
+    x, gx = solve_root_monotone(g, 0.25)
     assert calls[:6] == [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
     assert len(set(calls)) == len(calls)
-    assert abs(x / (4.0 * root) - 0.25) <= 1e-10
+    assert gx is values[calls.index(x)]
+    assert abs(gx - 0.25) <= 1e-10
     if root > 4.0:
         assert (x, calls[6:]) == (4.0, [8.0])
