@@ -10,37 +10,40 @@ turns that whole block and the group's arguments into one flat row of sums;
 group, so every point reuses the draws of blocks (seed, i); a `rate_curve`
 point is a group of its own, whose block scales its draw in place and skips
 w2, which no rate term reads, and evaluates the optimal and the fixed power
-on that point's draws. Every block function slices its own block into
-`SLICE_DRAWS` draws, which keeps the elementwise working set in cache: an
-outage block adds the slices' integer counts, while a rate block packs the
-per-draw terms of each slice's counted draws into block-length rows and
-forms its floating-point sums over the whole packed rows, so the slice
-length never moves a bit. Each call runs all its blocks through one process
-pool and sums each group's rows in block order, so results are bit-identical
-for any worker count. The pool module (`concurrent.futures`, and
-`multiprocessing` behind it) is imported when a sweep first starts a pool,
-through the module `__getattr__`, so importing the package loads neither.
+on that point's draws. `validate`'s sampled checks are one group at the
+config's gamma_bar (`_validation_block`). Every block function slices its
+own block into `SLICE_DRAWS` draws, which keeps the elementwise working set
+in cache: an outage block adds the slices' integer counts, while a rate or
+validation block packs the per-draw terms of each slice into block-length
+rows and forms its floating-point sums over the whole packed rows, so the
+slice length never moves a bit. Each call runs all its blocks through one
+process pool and sums each group's rows in block order, so results are
+bit-identical for any worker count. The pool module (`concurrent.futures`,
+and `multiprocessing` behind it) is imported when a sweep first starts a
+pool, through the module `__getattr__`, so importing the package loads
+neither.
 
 A block does not allocate its block-length arrays: each process (each thread
 of it) keeps one workspace of five float64 rows (`_workspace`), and every
 block it runs, in a pool worker every task too, draws every gain but its
-last into them: h2 to v2 for an outage block, h2 to u2 (rows 0-3) for a rate
-block. The block function's slices then draw the gain the block lacks, w2 or
-v2 (`_slices`), from the block's generator in order, each into one slice
-row; the generator fills an array element by element, so the bits are those
-of one draw over the whole block. A rate block packs its terms into the gain
-rows it has already read, so it touches only rows 0-3. Each process also
-holds nine slice-length float64 rows and three bool rows (`_slice_rows`):
-`_bs_slice` writes a slice's optimal-power BS terms there for both sweeps,
-through the `out=` rows of the helpers that hold each formula, the last
-float row holds the slice's last gain, and the outage counting and a rate
-slice's fixed gamma2, gamma_bs1 and validity mask use the rest. An outage
-slice allocates only the dual-route check's two arrays of its length, a rate
-slice nothing of its length. A shorter last block or slice uses the leading
-elements of each row. The rows are scratch, not a cache: every user writes
-an element before it reads it, so its result is the same as with fresh
-arrays, and only the page faults of fresh memory (about 8 MB a rate block,
-thousands of faults an outage block) are saved.
+last into them: h2 to v2 for an outage or validation block, h2 to u2 (rows
+0-3) for a rate block. The block function's slices then draw the gain the
+block lacks, w2 or v2 (`_slices`), from the block's generator in order, each
+into one slice row; the generator fills an array element by element, so the
+bits are those of one draw over the whole block. A rate block packs its
+terms into the gain rows it has already read, so it touches only rows 0-3.
+Each process also holds nine slice-length float64 rows and three bool rows
+(`_slice_rows`): `_bs_slice` writes a slice's optimal-power BS terms there
+for both sweeps, through the `out=` rows of the helpers that hold each
+formula, the last float row holds the slice's last gain, and the outage
+counting and a rate slice's fixed gamma2, gamma_bs1 and validity mask use
+the rest. An outage slice allocates only the dual-route check's two arrays
+of its length, a rate slice nothing of its length, and a validation slice
+takes `sir_sample`'s fresh arrays. A shorter last block or slice uses the
+leading elements of each row. The rows are scratch, not a cache: every user
+writes an element before it reads it, so its result is the same as with
+fresh arrays, and only the page faults of fresh memory (about 8 MB a rate
+block, thousands of faults an outage block) are saved.
 
 An outage slice is evaluated once, at unit mean. gamma2, P_su1 * gamma_bar
 and whether the SU transmits do not depend on gamma_bar (up to rounding),
@@ -85,7 +88,8 @@ from .channels import (
 )
 from .mathkernel import _require_pos, gauss_2f1, gauss_2f1_near_unit
 from .power import _interference, _power_terms, fixed_power, optimal_power
-from .relaying import _gamma1, _gamma2, _harmonic, _su_terms, check_gamma2_routes, sir_sample
+from .relaying import (_gamma1, _gamma2, _harmonic, _su_terms, check_gamma2_routes,
+                       sinr_bs_combine, sir_sample)
 
 __all__ = [
     "OutageEstimate",
@@ -601,3 +605,33 @@ def rate_curve(geom: ScenarioGeometry, cfg: PowerConfig, lam: float, sir_grid_db
                 rate_objective=mean_obj, rate_endtoend=se / n,
                 ci_halfwidth=1.96 * math.sqrt(var / n), trials=n_valid))
     return out
+
+
+def _validation_block(draw, cfg, geom, lam, slice_draws, rng=None):
+    """For `validate`'s sampled checks at cfg's gamma_bar: the sum of the
+    constraint's per-draw excess (lam - eta4 P T)^+, T = (q^-eps u2 +
+    r^-eps v2) f2/g2, then the counts of draws that break the gamma_bs1
+    sandwich min/2 <= gamma_bs1 <= min(gamma1, gamma2), that have an SINR
+    above gamma_bs1, and whose SU SIR meets its upper bound other than
+    exactly where P_su1 = 0. It overwrites `draw`, whose slices draw w2
+    from `rng` (`_slices`); each slice packs its excess into its own
+    elements of h2, which it has already read, and the excess sum runs over
+    the whole row, so the result does not depend on `slice_draws`."""
+    draw = _at_mean(draw, cfg)
+    e, c = geom.epsilon, derive_etas(geom).eta4 * cfg.p_cci_lin
+    slack = 1e-13
+    row = [0.0, 0, 0, 0]
+    for piece in _slices(draw, slice_draws, rng):
+        s = sir_sample(piece, geom, cfg, lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (geom.q ** -e * piece.u2 + geom.r ** -e * piece.v2) * piece.f2 / piece.g2
+        np.maximum(lam - c * t, 0.0, out=piece.h2)
+        fin = s.valid & np.isfinite(s.gamma_bs1) & np.isfinite(s.gamma1) & np.isfinite(s.gamma2)
+        gbs, mn = s.gamma_bs1[fin], np.minimum(s.gamma1[fin], s.gamma2[fin])
+        row[1] += int(np.count_nonzero((gbs > mn * (1 + slack)) | (gbs < 0.5 * mn * (1 - slack))))
+        row[2] += int(np.count_nonzero(sinr_bs_combine(s.gamma1, s.gamma2)[fin] > gbs))
+        up = s.valid & np.isfinite(s.gamma_su1_upper)
+        eq = s.gamma_su1[up] == s.gamma_su1_upper[up]
+        row[3] += int(np.count_nonzero(eq != (s.p_su1[up] == 0.0)))
+    row[0] = float(draw.h2.sum())
+    return row

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (OUTAGE_MIN_TRIALS, RATE_MIN_TRIALS, dist_su_upper, outage_mc,
-                       rate_curve)
+from .analysis import (OUTAGE_MIN_TRIALS, RATE_MIN_TRIALS, SLICE_DRAWS, _sweep,
+                       _validation_block, dist_su_upper, outage_mc, rate_curve)
 from .channels import (PowerConfig, ScenarioGeometry, derive_etas, dist_t, dist_v3,
                        sample_fading)
 from .mathkernel import (
@@ -32,7 +32,7 @@ from .mathkernel import (
     tricomi_psi11,
 )
 from .power import closed_form_check, solve_water_level
-from .relaying import _ORACLE_SYMBOLS, sinr_bs_combine, sir_sample, symbol_level_oracle
+from .relaying import _ORACLE_SYMBOLS, sir_sample, symbol_level_oracle
 
 __all__ = [
     "ConfigError",
@@ -73,6 +73,8 @@ _INT_MINIMA = {"trials": 1, "seed": 0, "workers": 1}
 _TRIAL_FLOORS = {"outage-bs": OUTAGE_MIN_TRIALS, "outage-su": OUTAGE_MIN_TRIALS,
                  "rate": RATE_MIN_TRIALS}
 _MAX_GRID_POINTS = 10_000
+# draws of `validate`'s sampled checks, whatever the config's trials
+_VALIDATE_DRAWS = 1_000_000
 # the scalar keys given in dB; _parse_grid checks sir_grid_db's points
 _DB_KEYS = ("w_db", "cci_db", "gamma_bar_db")
 # the placement keys each ScenarioGeometry field is computed from
@@ -328,27 +330,13 @@ def _validation_rows(cfg: ExperimentConfig):
     rows.append(("closed-form-printed-residual", "INFO",
                  report.as_printed_residual, math.nan))
 
-    rng = np.random.default_rng(cfg.seed)
-    draw = sample_fading(rng, power, 1_000_000)
-    s = sir_sample(draw, geom, power, level.lam)
-    t = (geom.q ** -geom.epsilon * draw.u2
-         + geom.r ** -geom.epsilon * draw.v2) * draw.f2 / draw.g2
-    mc = float(np.maximum(level.lam - et.eta4 * power.p_cci_lin * t, 0.0).mean())
+    (sums,) = _sweep(_validation_block, [(power, geom, level.lam, SLICE_DRAWS)],
+                     _VALIDATE_DRAWS, cfg.seed, cfg.workers)
+    mc = sums[0] / _VALIDATE_DRAWS
     check("constraint-mc-relative-error", abs(mc - power.w_lin) / power.w_lin, 5e-3)
-
-    fin = s.valid & np.isfinite(s.gamma_bs1) & np.isfinite(s.gamma1) & np.isfinite(s.gamma2)
-    mn = np.minimum(s.gamma1[fin], s.gamma2[fin])
-    slack = 1e-13
-    bad = np.count_nonzero((s.gamma_bs1[fin] > mn * (1 + slack))
-                           | (s.gamma_bs1[fin] < 0.5 * mn * (1 - slack)))
-    check("bound-sandwich-violations", float(bad), 0.0)
-    sinr = sinr_bs_combine(s.gamma1, s.gamma2)
-    bad = np.count_nonzero(sinr[fin] > s.gamma_bs1[fin])
-    check("sinr-le-sir-violations", float(bad), 0.0)
-    up = s.valid & np.isfinite(s.gamma_su1_upper)
-    eq = s.gamma_su1[up] == s.gamma_su1_upper[up]
-    bad = np.count_nonzero(eq != (s.p_su1[up] == 0.0))
-    check("su-upper-equality-iff-zero-power", float(bad), 0.0)
+    for name, bad in zip(("bound-sandwich-violations", "sinr-le-sir-violations",
+                          "su-upper-equality-iff-zero-power"), sums[1:]):
+        check(name, float(bad), 0.0)
 
     one = sample_fading(np.random.default_rng(cfg.seed + 1), power)
     sir_hat = symbol_level_oracle(one, geom, power, level.lam, np.random.default_rng(cfg.seed + 2))
@@ -367,7 +355,8 @@ def _validation_rows(cfg: ExperimentConfig):
 def _csv_lines(cmd: str, cfg: ExperimentConfig):
     """The CSV lines of one subcommand and the count of FAILed validation
     checks (0 for the other subcommands)."""
-    header = [f"# seed = {cfg.seed}", f"# trials = {cfg.trials}"]
+    trials = _VALIDATE_DRAWS if cmd == "validate" else cfg.trials
+    header = [f"# seed = {cfg.seed}", f"# trials = {trials}"]
     failures = 0
     if cmd == "validate":
         columns, rows = _VALIDATE_COLUMNS, _validation_rows(cfg)

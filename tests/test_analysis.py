@@ -30,11 +30,11 @@ from curelay import (
 )
 from curelay.analysis import (BLOCK_SIZE, _UNIT_MEAN, SLICE_DRAWS, _at_mean, _critical,
                               _gamma2_cdf, _outage_block, _outage_point, _rate_block, _run_block,
-                              _slices, _sweep)
+                              _slices, _sweep, _validation_block)
 from curelay.channels import dist_gamma_ratio, dist_t
 from curelay.mathkernel import NumericTolerance, integrate
 from curelay.power import _interference, _power_terms, fixed_power, optimal_power
-from curelay.relaying import _gamma1, _gamma2, _harmonic, check_gamma2_routes
+from curelay.relaying import _gamma1, _gamma2, _harmonic, check_gamma2_routes, sinr_bs_combine
 
 TIGHT = NumericTolerance(rel_tol=1e-11, abs_tol=1e-300, max_iter=4000)
 
@@ -514,6 +514,16 @@ def test_outage_block_touches_only_its_gain_rows(default_geom, default_cfg, solv
     assert written == [True] * 5 + [False]
 
 
+def test_validation_block_touches_only_its_gain_rows(default_geom, default_cfg, solved):
+    # a validation block draws h2 to v2 into rows 0-4 (w2 slice by slice)
+    # and packs the constraint excess into h2
+    task = (_validation_block, (default_cfg, default_geom, solved, SLICE_DRAWS), 5, 0,
+            BLOCK_SIZE, True)
+    row, written = _block_rows_written(task)
+    assert row == _run_block(task)
+    assert written == [True] * 5 + [False]
+
+
 @pytest.mark.parametrize("w2", [True, False])
 def test_last_gain_drawn_per_slice_keeps_its_bits(w2):
     # a block drawn without its last gain, whose slices then draw it from
@@ -546,7 +556,8 @@ def test_run_block_equals_block_on_whole_draw(default_geom, default_cfg, solved,
     for block_fn, args, w2 in (
             (_outage_block, (configs, default_geom, solved, 3.0, "bs", SLICE_DRAWS), True),
             (_outage_block, (configs, default_geom, solved, 0.5, "su", SLICE_DRAWS), True),
-            (_rate_block, (configs[1], default_geom, solved, SLICE_DRAWS), False)):
+            (_rate_block, (configs[1], default_geom, solved, SLICE_DRAWS), False),
+            (_validation_block, (configs[1], default_geom, solved, SLICE_DRAWS), True)):
         draw = sample_fading(np.random.default_rng([21, 4]), _UNIT_MEAN, n)
         assert _run_block((block_fn, args, 21, 4, n, w2)) == block_fn(draw, *args), block_fn
 
@@ -984,3 +995,44 @@ def test_rate_sweep_after_outage_sweep_equals_fresh_arrays(monkeypatch, default_
         _sweep(_outage_block, [(configs, default_geom, solved, 3.0, side, SLICE_DRAWS)], **kw)
         assert curelay.analysis._scratch.slice_rows[0].size >= SLICE_DRAWS
         assert rate() == want, side
+
+
+# ---------------------------------------------------------------------------
+# validate's sampled checks
+# ---------------------------------------------------------------------------
+
+
+def _validation_reference(draw, cfg, geom, lam):
+    """_validation_block's row from fresh whole-block arrays, as one sample
+    of the whole block gives it."""
+    draw = _at_mean(copy.deepcopy(draw), cfg)
+    s = sir_sample(draw, geom, cfg, lam)
+    e = geom.epsilon
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (geom.q ** -e * draw.u2 + geom.r ** -e * draw.v2) * draw.f2 / draw.g2
+    excess = np.maximum(lam - derive_etas(geom).eta4 * cfg.p_cci_lin * t, 0.0)
+    fin = s.valid & np.isfinite(s.gamma_bs1) & np.isfinite(s.gamma1) & np.isfinite(s.gamma2)
+    gbs, mn = s.gamma_bs1[fin], np.minimum(s.gamma1[fin], s.gamma2[fin])
+    up = s.valid & np.isfinite(s.gamma_su1_upper)
+    return [float(excess.sum()),
+            int(np.count_nonzero((gbs > mn * (1 + 1e-13)) | (gbs < 0.5 * mn * (1 - 1e-13)))),
+            int(np.count_nonzero(sinr_bs_combine(s.gamma1, s.gamma2)[fin] > gbs)),
+            int(np.count_nonzero((s.gamma_su1[up] == s.gamma_su1_upper[up])
+                                 != (s.p_su1[up] == 0.0)))]
+
+
+def test_validation_block_matches_whole_sample_at_any_slice_length(default_geom, default_cfg,
+                                                                  solved):
+    # a zero in each gain in turn (w2 = 0 and h2 = 0 put the SU SIR on its
+    # upper bound at P_su1 > 0, which is counted); the excess sum keeps its
+    # bits whatever the slice length, because it runs over the packed row
+    draw = sample_fading(np.random.default_rng(31), _UNIT_MEAN, 50)
+    for i, name in enumerate(("h2", "g2", "f2", "u2", "v2", "w2")):
+        getattr(draw, name)[i] = 0.0
+    for gamma_bar_db in (0.0, 30.0):
+        cfg = replace(default_cfg, gamma_bar_db=gamma_bar_db)
+        want = _validation_reference(draw, cfg, default_geom, solved)
+        assert want[0] > 0.0 and want[3] == 2
+        for n in (1, 7, 50):
+            got = _validation_block(copy.deepcopy(draw), cfg, default_geom, solved, n)
+            assert got == want, (gamma_bar_db, n)

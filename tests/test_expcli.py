@@ -4,6 +4,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -302,6 +303,31 @@ def test_rate_draws_each_block_once_for_both_policies(tmp_path, monkeypatch):
 
 def test_outage_starts_one_pool_per_command(tmp_path, monkeypatch):
     assert pools_started(tmp_path, monkeypatch, "outage-bs", FAST_BODY) == 1
+
+
+def test_validate_starts_one_pool_and_writes_the_one_worker_bytes(tmp_path, monkeypatch):
+    # validate's sampled checks are one sweep, so they follow --workers and
+    # the determinism contract like the other Monte-Carlo commands
+    assert pools_started(tmp_path, monkeypatch, "validate", DEFAULT_CFG.read_text()) == 1
+    run_experiment("validate", load_config(DEFAULT_CFG), tmp_path / "w1.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+
+
+def test_validate_peak_memory_and_trials_header(tmp_path):
+    # the sampled checks run block by block: on this config the traced peak
+    # is 26 MiB when the run makes its workspace rows (14 MiB when they
+    # exist), where one 1e6-draw sample of the six gains alone is 46 MiB;
+    # the header states the checks' 1,000,000 draws, not the config's trials
+    cfg = replace(load_config(DEFAULT_CFG), trials=20_000)
+    out = tmp_path / "v.csv"
+    tracemalloc.start()
+    try:
+        assert run_experiment("validate", cfg, out) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert out.read_text().splitlines()[:2] == ["# seed = 20240917", "# trials = 1000000"]
 
 
 def test_water_level_csv(tmp_path):

@@ -30,11 +30,12 @@ def test_config_error_is_the_one_load_config_raises():
 def test_import_and_load_config_start_no_pool_module():
     # the pool module (and multiprocessing with it) is imported when a sweep
     # first starts a pool, and the module attribute is then the real class;
-    # numpy is the one top-level module outside the standard library loaded
+    # numpy is the one top-level module outside the standard library loaded,
+    # and numpy.random (about 10 ms and 5.5 MiB) waits for the first draw
     root = Path(__file__).resolve().parent.parent
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import curelay; from curelay.expcli import load_config; load_config(sys.argv[2]); "
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process', 'numpy.random') "
             "if m in sys.modules]); "
             "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before} "
             "- set(sys.stdlib_module_names))); import concurrent.futures; "
